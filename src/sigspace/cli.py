@@ -374,15 +374,8 @@ def cmd_recover(args: argparse.Namespace) -> int:
         }
         estimate = x_hat
     else:
-        scheme_eps = eps if selector in ("eps-omp", "eps-threshold") else 0.0
         try:
-            run_cfg = SSCoSaMPConfig(
-                k=k,
-                scheme_expand=SelectionScheme(selector, a * k, eps=scheme_eps),
-                scheme_shrink=SelectionScheme(selector, k, eps=scheme_eps),
-                a=a,
-                halting=halting,
-            )
+            run_cfg = SSCoSaMPConfig.for_selector(selector, k, eps=eps, a=a, halting=halting)
         except ValueError as exc:
             raise ConfigError(f"{rctx}: {exc}") from exc
         report = sscosamp(y, M, D, run_cfg, x_true=x_true)

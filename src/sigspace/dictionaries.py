@@ -57,6 +57,8 @@ class Dictionary:
         self.matrix = np.asarray(self.matrix)
         if self.matrix.ndim != 2:
             raise ValueError("dictionary matrix must be 2-D")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("dictionary matrix must be finite")
         if self.kind not in _DICT_KINDS:
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
 

@@ -38,12 +38,11 @@ from .dictionaries import (
     seed_sequence,
 )
 from .linalg import SupportSet
-from .projections import SCHEME_KINDS, SelectionScheme
+from .projections import SCHEME_KINDS
 from .recovery import HaltingRule, SSCoSaMPConfig, eps_omp_recover, sscosamp
 
 SIGNAL_MODES = ("clustered", "separated")
 ALGORITHMS = ("sscosamp", "eps-omp-direct")
-_EPS_SELECTORS = ("eps-omp", "eps-threshold")
 
 # A success-rate drop larger than this between adjacent m values is flagged.
 RATE_DROP_ALARM = 0.3
@@ -75,9 +74,6 @@ class VariantSpec:
             raise ValueError("eps must lie in [0, 1)")
         if self.a < 1:
             raise ValueError("a must be >= 1")
-
-    def _scheme_eps(self) -> float:
-        return self.eps if self.selector in _EPS_SELECTORS else 0.0
 
 
 def fig_variants(eps: float = math.sqrt(0.1)) -> tuple[VariantSpec, ...]:
@@ -253,25 +249,14 @@ def _trial_inputs(
     return D, model.matrix, x, y
 
 
-def _schemes_for(variant: VariantSpec, k: int) -> tuple[SelectionScheme, SelectionScheme]:
-    eps = variant._scheme_eps()
-    expand = SelectionScheme(variant.selector, variant.a * k, eps=eps)
-    shrink = SelectionScheme(variant.selector, k, eps=eps)
-    return expand, shrink
-
-
 def _execute_variant(
     cfg: TrialConfig, D: Dictionary, M: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> TrialRecord:
     start = time.perf_counter()
     variant = cfg.variant
     if variant.algorithm == "sscosamp":
-        expand, shrink = _schemes_for(variant, cfg.k)
-        run_cfg = SSCoSaMPConfig(
-            k=cfg.k,
-            scheme_expand=expand,
-            scheme_shrink=shrink,
-            a=variant.a,
+        run_cfg = SSCoSaMPConfig.for_selector(
+            variant.selector, cfg.k, eps=variant.eps, a=variant.a,
             halting=HaltingRule(max_iters=cfg.max_iters),
         )
         report = sscosamp(y, M, D, run_cfg)

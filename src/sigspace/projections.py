@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -116,22 +116,44 @@ def threshold_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     return SupportSet(tuple(int(i) for i in top_k_indices(corr, k)), D.n)
 
 
+def _greedy(
+    A: np.ndarray,
+    z: np.ndarray,
+    k: int,
+    table: tuple[np.ndarray, ...] | None = None,
+    refit: bool = True,
+) -> tuple[SupportSet, SupportSet]:
+    """The greedy pursuit behind OMP, eps-OMP and eps-thresholding.
+
+    Each of at most k rounds picks the column of A with the largest |a_i^* r|
+    outside the exclusion mask (ties to the lowest index) and excludes
+    table[i], or only i without a table. With refit the correlations are
+    recomputed against r = z - P_picks z before the next round; without it
+    they stay those of z. Stops early once every column is excluded. Returns
+    the picks and the final exclusion mask (the closure), both as supports.
+    """
+    n = A.shape[1]
+    AH = A.conj().T
+    corr = np.abs(AH @ z)
+    excluded = np.zeros(n, dtype=bool)
+    picks: list[int] = []
+    for _ in range(k):
+        if excluded.all():
+            break
+        if refit and picks:
+            corr = np.abs(AH @ (z - project(A, SupportSet.from_iterable(picks, n), z)))
+        corr[excluded] = -1.0
+        i = int(np.argmax(corr))
+        picks.append(i)
+        excluded[i if table is None else table[i]] = True
+    return SupportSet.from_iterable(picks, n), SupportSet.from_iterable(np.flatnonzero(excluded), n)
+
+
 def omp_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     """Orthogonal matching pursuit: k greedy picks with full re-fit each round."""
     if not 1 <= k <= min(D.d, D.n):
         raise ValueError("omp requires 1 <= k <= min(d, n)")
-    selected: list[int] = []
-    taken = np.zeros(D.n, dtype=bool)
-    r = z
-    for _ in range(k):
-        corr = np.abs(D.matrix.conj().T @ r)
-        corr[taken] = -1.0
-        i = int(np.argmax(corr))
-        selected.append(i)
-        taken[i] = True
-        T = SupportSet.from_iterable(selected, D.n)
-        r = z - project(D.matrix, T, z)
-    return SupportSet.from_iterable(selected, D.n)
+    return _greedy(D.matrix, z, k)[0]
 
 
 def eps_extend(D: Dictionary, T: SupportSet, eps: float) -> SupportSet:
@@ -139,21 +161,8 @@ def eps_extend(D: Dictionary, T: SupportSet, eps: float) -> SupportSet:
     some atom of T reaches 1 - eps^2 (eps = 0 keeps only collinear atoms)."""
     if T.universe != D.n:
         raise ValueError("support universe does not match the dictionary")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must lie in [0, 1)")
-    if len(T) == 0:
-        return T
-    threshold = 1.0 - max(eps * eps, 1e-12)
-    rows = D.correlation_rows(T.as_array())
-    hits = np.flatnonzero((rows >= threshold).any(axis=0))
-    return SupportSet.from_iterable(hits.tolist() + list(T), D.n)
-
-
-def _extension_union(table: tuple[np.ndarray, ...], picked: list[int], n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    for i in picked:
-        mask[table[i]] = True
-    return mask
+    table = D.neighbor_table(eps)
+    return SupportSet.from_iterable(chain(T, *(table[i] for i in T)), D.n)
 
 
 def eps_omp_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportSet:
@@ -162,21 +171,7 @@ def eps_omp_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportS
     answer is the closure itself (at most zeta*k atoms)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = D.neighbor_table(eps)
-    picked: list[int] = []
-    excluded = np.zeros(D.n, dtype=bool)
-    r = z
-    for _ in range(k):
-        if excluded.all():
-            break
-        corr = np.abs(D.matrix.conj().T @ r)
-        corr[excluded] = -1.0
-        i = int(np.argmax(corr))
-        picked.append(i)
-        T_hat = SupportSet.from_iterable(picked, D.n)
-        r = z - project(D.matrix, T_hat, z)
-        excluded = _extension_union(table, picked, D.n)
-    return SupportSet.from_iterable(np.flatnonzero(excluded), D.n)
+    return _greedy(D.matrix, z, k, D.neighbor_table(eps))[1]
 
 
 def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportSet:
@@ -184,18 +179,7 @@ def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> Su
     each round takes the best atom outside the current closure."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = D.neighbor_table(eps)
-    corr = np.abs(D.matrix.conj().T @ z)
-    picked: list[int] = []
-    excluded = np.zeros(D.n, dtype=bool)
-    for _ in range(k):
-        if excluded.all():
-            break
-        masked = np.where(excluded, -1.0, corr)
-        i = int(np.argmax(masked))
-        picked.append(i)
-        excluded = _extension_union(table, picked, D.n)
-    return SupportSet.from_iterable(np.flatnonzero(excluded), D.n)
+    return _greedy(D.matrix, z, k, D.neighbor_table(eps), refit=False)[1]
 
 
 def _sparse_support(values: np.ndarray) -> SupportSet:
@@ -335,6 +319,8 @@ def oracle_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
 
 def select(scheme: SelectionScheme, D: Dictionary, z: np.ndarray) -> SupportSet:
     """Run a scheme on a signal."""
+    if not np.isfinite(z).all():
+        raise ValueError("signal must be finite")
     if scheme.kind == "threshold":
         return threshold_select(D, z, scheme.k)
     if scheme.kind == "omp":

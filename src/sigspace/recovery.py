@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionaries import Dictionary
-from .linalg import SupportSet, ls_synthesize, project, rank_rcond
-from .projections import SelectionScheme, select
+from .linalg import SupportSet, ls_synthesize, project
+from .projections import _EPS_KINDS, SelectionScheme, _greedy, select
 
 STOP_RESIDUAL = "residual"
 STOP_STAGNATION = "stagnation"
@@ -65,6 +65,24 @@ class SSCoSaMPConfig:
             raise ValueError("scheme_expand must target a*k atoms")
         if self.scheme_shrink.k != self.k:
             raise ValueError("scheme_shrink must target k atoms")
+
+    @classmethod
+    def for_selector(
+        cls, selector: str, k: int, eps: float = 0.0, a: int = 2,
+        halting: HaltingRule = HaltingRule(),
+    ) -> "SSCoSaMPConfig":
+        """Config that expands to a*k and shrinks to k atoms with one selector.
+
+        eps reaches the schemes only for the eps kinds; the others drop it.
+        """
+        eps = eps if selector in _EPS_KINDS else 0.0
+        return cls(
+            k=k,
+            scheme_expand=SelectionScheme(selector, a * k, eps=eps),
+            scheme_shrink=SelectionScheme(selector, k, eps=eps),
+            a=a,
+            halting=halting,
+        )
 
 
 @dataclass(frozen=True)
@@ -128,6 +146,21 @@ def _stagnated(history: list[float], tol: float) -> bool:
     return (old - new) / old < tol
 
 
+def _checked_measurements(
+    y: np.ndarray, M: np.ndarray, D: Dictionary
+) -> tuple[np.ndarray, np.ndarray]:
+    """y and M as arrays, checked against each other and D, and finite."""
+    y = np.asarray(y)
+    M = np.asarray(M)
+    if M.ndim != 2 or y.shape != (M.shape[0],):
+        raise ValueError("y must be a vector with one entry per measurement row")
+    if M.shape[1] != D.d:
+        raise ValueError("measurement columns must match the dictionary signal dimension")
+    if not (np.isfinite(y).all() and np.isfinite(M).all()):
+        raise ValueError("measurements y and M must be finite")
+    return y, M
+
+
 def sscosamp(
     y: np.ndarray,
     M: np.ndarray,
@@ -141,12 +174,7 @@ def sscosamp(
     Stop reasons: "residual" (relative residual under the floor), "stagnation"
     (relative residual drop over a short window under the floor), "max_iters".
     """
-    y = np.asarray(y)
-    M = np.asarray(M)
-    if M.ndim != 2 or y.shape != (M.shape[0],):
-        raise ValueError("y must be a vector with one entry per measurement row")
-    if M.shape[1] != D.d:
-        raise ValueError("measurement columns must match the dictionary signal dimension")
+    y, M = _checked_measurements(y, M, D)
     start = time.perf_counter()
     halting = config.halting
     dtype = np.result_type(M, D.matrix, y)
@@ -208,30 +236,8 @@ def eps_omp_recover(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    y = np.asarray(y)
-    M = np.asarray(M)
-    if M.ndim != 2 or y.shape != (M.shape[0],):
-        raise ValueError("y must be a vector with one entry per measurement row")
-    if M.shape[1] != D.d:
-        raise ValueError("measurement columns must match the dictionary signal dimension")
-    composite = M @ D.matrix
-    table = D.neighbor_table(eps)
-    picked: list[int] = []
-    excluded = np.zeros(D.n, dtype=bool)
-    dtype = np.result_type(composite, y)
-    r = y.astype(dtype, copy=True)
-    for _ in range(k):
-        if excluded.all():
-            break
-        corr = np.abs(composite.conj().T @ r)
-        corr[excluded] = -1.0
-        i = int(np.argmax(corr))
-        picked.append(i)
-        excluded[table[i]] = True
-        cols = composite[:, sorted(picked)]
-        coef, _, _, _ = np.linalg.lstsq(cols, y, rcond=rank_rcond(cols.shape))
-        r = y - cols @ coef
-    support = SupportSet.from_iterable(np.flatnonzero(excluded), D.n)
+    y, M = _checked_measurements(y, M, D)
+    support = _greedy(M @ D.matrix, y, k, D.neighbor_table(eps))[1]
     x = ls_synthesize(M, D.matrix, support, y)
     return x, support
 

@@ -236,3 +236,24 @@ class TestIterationInvariantCheck:
 
     def test_short_trace_vacuous(self):
         assert iteration_invariant_check([0.7], rho=0.1, eta=0.0, e_norm=0.0)
+
+
+class TestForSelector:
+    def test_expand_targets_a_k_and_shrink_k(self):
+        cfg = SSCoSaMPConfig.for_selector("omp", 3, a=4)
+        assert (cfg.k, cfg.a) == (3, 4)
+        assert cfg.scheme_expand == SelectionScheme("omp", 12)
+        assert cfg.scheme_shrink == SelectionScheme("omp", 3)
+        assert cfg.halting == HaltingRule()
+
+    def test_eps_reaches_only_the_eps_kinds(self):
+        for kind in ("eps-omp", "eps-threshold"):
+            cfg = SSCoSaMPConfig.for_selector(kind, 2, eps=0.3)
+            assert cfg.scheme_expand.eps == cfg.scheme_shrink.eps == 0.3
+        for kind in ("threshold", "omp", "oracle"):
+            cfg = SSCoSaMPConfig.for_selector(kind, 2, eps=0.3)
+            assert cfg.scheme_expand.eps == cfg.scheme_shrink.eps == 0.0
+
+    def test_invalid_selector_raises(self):
+        with pytest.raises(ValueError, match="unknown scheme kind"):
+            SSCoSaMPConfig.for_selector("matching", 2)
