@@ -38,6 +38,7 @@ from .experiments import (
     SIGNAL_MODES,
     SweepSettings,
     VariantSpec,
+    add_noise,
     emit_outputs,
     fig_variants,
     gen_sparse_signal,
@@ -326,14 +327,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         mode = _get_str(sig, "mode", sctx, default="clustered", choices=set(SIGNAL_MODES))
         noise_level = _get_num(sig, "noise_level", sctx, default=0.0, minimum=0.0)
         x_true, _, _ = gen_sparse_signal(D, k_sig, mode, seed_sequence(seed, SALT_SIGNAL))
-        y = M @ x_true
-        if noise_level > 0.0:
-            rng = np.random.Generator(np.random.PCG64(seed_sequence(seed, SALT_NOISE)))
-            if np.iscomplexobj(y):
-                g = rng.standard_normal(y.shape[0]) + 1j * rng.standard_normal(y.shape[0])
-            else:
-                g = rng.standard_normal(y.shape[0])
-            y = y + noise_level * g / np.linalg.norm(g)
+        y = add_noise(M @ x_true, noise_level, seed_sequence(seed, SALT_NOISE))
     else:
         y_path = _get_str(sig, "y_path", sctx)
         if y_path is None:
@@ -631,13 +625,7 @@ def cmd_project(args: argparse.Namespace) -> int:
         mode = _get_str(sig, "mode", sctx, default="clustered", choices=set(SIGNAL_MODES))
         z, _, _ = gen_sparse_signal(D, k_sig, mode, seed_sequence(seed, SALT_SIGNAL))
         noise_level = _get_num(sig, "noise_level", sctx, default=0.0, minimum=0.0)
-        if noise_level > 0.0:
-            rng = np.random.Generator(np.random.PCG64(seed_sequence(seed, SALT_NOISE)))
-            if np.iscomplexobj(z):
-                g = rng.standard_normal(D.d) + 1j * rng.standard_normal(D.d)
-            else:
-                g = rng.standard_normal(D.d)
-            z = z + noise_level * g / np.linalg.norm(g)
+        z = add_noise(z, noise_level, seed_sequence(seed, SALT_NOISE))
     if z.shape[0] != D.d:
         raise ValueError(f"{sctx}: signal length {z.shape[0]} does not match d = {D.d}")
     _diag(args, f"[project] d={D.d} n={D.n} scheme={scheme.kind} k={scheme.k}")

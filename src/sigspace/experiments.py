@@ -227,6 +227,23 @@ def gen_sparse_signal(
     return x, alpha, T
 
 
+def add_noise(v: np.ndarray, level: float, seed: np.random.SeedSequence) -> np.ndarray:
+    """v plus a noise vector of norm level (v itself when level is 0).
+
+    The noise is g * level / ||g|| for g a standard normal draw of v's length,
+    seeded by seed: real, or real part then imaginary part when v is complex.
+    """
+    if level <= 0.0:
+        return v
+    rng = np.random.Generator(np.random.PCG64(seed))
+    size = v.shape[0]
+    if np.iscomplexobj(v):
+        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    else:
+        g = rng.standard_normal(size)
+    return v + level * g / np.linalg.norm(g)
+
+
 def _trial_inputs(
     cfg: TrialConfig,
 ) -> tuple[Dictionary, np.ndarray, np.ndarray, np.ndarray]:
@@ -236,16 +253,8 @@ def _trial_inputs(
     x, _, _ = gen_sparse_signal(D, cfg.k, cfg.mode, sig_seed)
     meas_seed = seed_sequence(cfg.base_seed, SALT_MEASUREMENT, cfg.m, cfg.trial_index)
     model = gaussian_measurements(cfg.m, cfg.d, meas_seed)
-    y = model.matrix @ x
-    if cfg.noise_level > 0.0:
-        noise_rng = np.random.Generator(
-            np.random.PCG64(seed_sequence(cfg.base_seed, SALT_NOISE, cfg.m, cfg.trial_index))
-        )
-        if np.iscomplexobj(y):
-            g = noise_rng.standard_normal(cfg.m) + 1j * noise_rng.standard_normal(cfg.m)
-        else:
-            g = noise_rng.standard_normal(cfg.m)
-        y = y + cfg.noise_level * g / np.linalg.norm(g)
+    noise_seed = seed_sequence(cfg.base_seed, SALT_NOISE, cfg.m, cfg.trial_index)
+    y = add_noise(model.matrix @ x, cfg.noise_level, noise_seed)
     return D, model.matrix, x, y
 
 

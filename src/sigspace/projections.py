@@ -27,7 +27,6 @@ from .linalg import (
     SupportSet,
     captured_and_residual_sq,
     orthonormal_range,
-    project,
     rank_rcond,
     top_k_indices,
 )
@@ -108,12 +107,60 @@ def zeta_factor(scheme: SelectionScheme, D: Dictionary) -> int:
     return max(len(hits) for hits in table)
 
 
+def _adjoint_apply(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A^H r without building A^H: one pass over A, no copy of the matrix."""
+    return (r.conj() @ A).conj()
+
+
 def threshold_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     """Indices of the k largest |d_i^* z|; ties go to the lowest index."""
     if not 1 <= k <= D.n:
         raise ValueError("threshold requires 1 <= k <= n")
-    corr = np.abs(D.matrix.conj().T @ z)
+    corr = np.abs(_adjoint_apply(D.matrix, z))
     return SupportSet(tuple(int(i) for i in top_k_indices(corr, k)), D.n)
+
+
+class _Residual:
+    """r = z - P z, P the projection onto the span of the columns added so far.
+
+    The span is kept as an orthonormal basis that grows by at most one vector
+    per added column (the Batch-OMP re-fit), so adding a column costs O(d j)
+    for a basis of j vectors instead of an SVD of every column added so far.
+    The basis is stored row by row: row j is q_j.
+    """
+
+    def __init__(self, z: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
+        self.r = z.astype(dtype, copy=True)
+        self._rows = np.empty((capacity, z.shape[0]), dtype=dtype)
+        self._rcond = rcond
+        self.rank = 0
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The orthonormal basis, one vector per column."""
+        return self._rows[: self.rank].T
+
+    def add(self, a: np.ndarray) -> None:
+        """Add the column a to the span and update r.
+
+        a is orthogonalized against the basis with two classical Gram-Schmidt
+        passes. When what is left has norm at most rcond * ||a||, a already
+        lies in the span (to the package rank cutoff) and adds no vector, so
+        duplicated atoms collapse to one direction.
+        """
+        if self.rank == self._rows.shape[0]:
+            return
+        rows = self._rows[: self.rank]
+        q = a.astype(self.r.dtype, copy=True)
+        for _ in range(2):
+            q -= (rows @ q.conj()).conj() @ rows
+        norm = float(np.linalg.norm(q))
+        if norm <= self._rcond * float(np.linalg.norm(a)):
+            return
+        q /= norm
+        self._rows[self.rank] = q
+        self.rank += 1
+        self.r -= q * np.vdot(q, self.r)
 
 
 def _greedy(
@@ -128,20 +175,23 @@ def _greedy(
     Each of at most k rounds picks the column of A with the largest |a_i^* r|
     outside the exclusion mask (ties to the lowest index) and excludes
     table[i], or only i without a table. With refit the correlations are
-    recomputed against r = z - P_picks z before the next round; without it
+    recomputed against r = z - P_picks z before the next round, r being
+    updated one orthonormal direction per pick (see _Residual); without it
     they stay those of z. Stops early once every column is excluded. Returns
     the picks and the final exclusion mask (the closure), both as supports.
     """
-    n = A.shape[1]
-    AH = A.conj().T
-    corr = np.abs(AH @ z)
+    d, n = A.shape
+    corr = np.abs(_adjoint_apply(A, z))
     excluded = np.zeros(n, dtype=bool)
     picks: list[int] = []
+    # only the picks before the last are re-fitted, and at most d directions exist
+    fit = _Residual(z, np.result_type(A, z), min(k - 1, d), rank_rcond(A.shape)) if refit else None
     for _ in range(k):
         if excluded.all():
             break
-        if refit and picks:
-            corr = np.abs(AH @ (z - project(A, SupportSet.from_iterable(picks, n), z)))
+        if fit is not None and picks:
+            fit.add(A[:, picks[-1]])
+            corr = np.abs(_adjoint_apply(A, fit.r))
         corr[excluded] = -1.0
         i = int(np.argmax(corr))
         picks.append(i)
@@ -207,7 +257,7 @@ def cosamp_rep_select(
     for _ in range(max_iters):
         if converged:
             break
-        proxy = np.abs(D.matrix.conj().T @ r)
+        proxy = np.abs(_adjoint_apply(D.matrix, r))
         omega = np.union1d(np.flatnonzero(alpha), top_k_indices(proxy, 2 * k))
         cols = D.matrix[:, omega]
         coef, _, _, _ = np.linalg.lstsq(cols, z, rcond=rank_rcond(cols.shape))
@@ -242,7 +292,7 @@ def iht_rep_select(
     for _ in range(max_iters):
         if converged:
             break
-        v = alpha + D.matrix.conj().T @ r
+        v = alpha + _adjoint_apply(D.matrix, r)
         keep = top_k_indices(np.abs(v), k)
         new_alpha = np.zeros_like(alpha)
         new_alpha[keep] = v[keep]
@@ -317,25 +367,26 @@ def oracle_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     return oracle_stats(D, z, k)[0]
 
 
+# kind -> the scheme's selection function on (scheme, D, z)
+_SELECTORS = {
+    "threshold": lambda s, D, z: threshold_select(D, z, s.k),
+    "omp": lambda s, D, z: omp_select(D, z, s.k),
+    "eps-omp": lambda s, D, z: eps_omp_select(D, z, s.k, s.eps),
+    "eps-threshold": lambda s, D, z: eps_threshold_select(D, z, s.k, s.eps),
+    "cosamp-rep": lambda s, D, z: cosamp_rep_select(D, z, s.k, s.max_iters or 50, s.rel_tol),
+    "iht-rep": lambda s, D, z: iht_rep_select(D, z, s.k, s.max_iters or 200, s.rel_tol),
+    "oracle": lambda s, D, z: oracle_select(D, z, s.k),
+}
+
+
 def select(scheme: SelectionScheme, D: Dictionary, z: np.ndarray) -> SupportSet:
     """Run a scheme on a signal."""
     if not np.isfinite(z).all():
         raise ValueError("signal must be finite")
-    if scheme.kind == "threshold":
-        return threshold_select(D, z, scheme.k)
-    if scheme.kind == "omp":
-        return omp_select(D, z, scheme.k)
-    if scheme.kind == "eps-omp":
-        return eps_omp_select(D, z, scheme.k, scheme.eps)
-    if scheme.kind == "eps-threshold":
-        return eps_threshold_select(D, z, scheme.k, scheme.eps)
-    if scheme.kind == "cosamp-rep":
-        return cosamp_rep_select(D, z, scheme.k, scheme.max_iters or 50, scheme.rel_tol)
-    if scheme.kind == "iht-rep":
-        return iht_rep_select(D, z, scheme.k, scheme.max_iters or 200, scheme.rel_tol)
-    if scheme.kind == "oracle":
-        return oracle_select(D, z, scheme.k)
-    raise ValueError(f"unknown scheme kind {scheme.kind!r}")  # pragma: no cover
+    selector = _SELECTORS.get(scheme.kind)
+    if selector is None:  # pragma: no cover - SelectionScheme checks the kind
+        raise ValueError(f"unknown scheme kind {scheme.kind!r}")
+    return selector(scheme, D, z)
 
 
 def _estimator_draw(D: Dictionary, k: int, trial: int, rng: np.random.Generator) -> np.ndarray:
