@@ -43,7 +43,8 @@ class Dictionary:
 
     kind is a coarse tag used by the container format and the CLI; it carries
     no behavior beyond bookkeeping. Correlation-derived structures (used by the
-    extension schemes and the brute-force oracle) are cached per instance.
+    extension schemes) and the support bases of the exhaustive certificates
+    and the brute-force oracle are cached per instance.
     """
 
     matrix: np.ndarray
@@ -51,7 +52,7 @@ class Dictionary:
     redundancy: int = 0
     unit_norm: bool = False
     _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _oracle_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _support_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix)

@@ -26,7 +26,6 @@ from .dictionaries import SALT_ESTIMATOR, Dictionary, rng_from
 from .linalg import (
     SupportSet,
     captured_and_residual_sq,
-    orthonormal_range,
     rank_rcond,
     top_k_indices,
 )
@@ -312,18 +311,23 @@ def iht_rep_select(
     return best_support
 
 
-def _oracle_tables(D: Dictionary, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (supports, padded orthonormal bases) for all supports of one size."""
-    cached = D._oracle_cache.get(size)
+def _support_bases(D: Dictionary, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached (supports, padded orthonormal bases, ranks) of every support of one size.
+
+    One batched SVD over the stacked D[:, T]. Row i of the bases holds
+    orthonormal_range(D[:, supports[i]]) in its first ranks[i] columns and
+    zeros after them: the package rank cutoff is applied per slice.
+    """
+    cached = D._support_cache.get(size)
     if cached is not None:
         return cached
-    supports = np.asarray(list(combinations(range(D.n), size)), dtype=np.intp)
-    bases = np.zeros((supports.shape[0], D.d, size), dtype=D.matrix.dtype)
-    for row, T in enumerate(supports):
-        U = orthonormal_range(D.matrix[:, T])
-        bases[row, :, : U.shape[1]] = U
-    D._oracle_cache[size] = (supports, bases)
-    return supports, bases
+    supports = np.asarray(list(combinations(range(D.n), size)), dtype=np.intp).reshape(-1, size)
+    U, s, _ = np.linalg.svd(D.matrix.T[supports].swapaxes(1, 2), full_matrices=False)
+    ranks = np.count_nonzero(s > rank_rcond((D.d, size)) * s[:, :1], axis=1)
+    bases = np.zeros((len(supports), D.d, size), dtype=U.dtype)
+    bases[:, :, : U.shape[2]] = U * (np.arange(U.shape[2]) < ranks[:, None])[:, None, :]
+    D._support_cache[size] = (supports, bases, ranks)
+    return supports, bases, ranks
 
 
 def _check_oracle_budget(n: int, k: int) -> None:
@@ -345,6 +349,8 @@ def oracle_stats(D: Dictionary, z: np.ndarray, k: int) -> tuple[SupportSet, floa
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if not np.isfinite(z).all():
+        raise ValueError("signal must be finite")
     k = min(k, D.n)
     _check_oracle_budget(D.n, k)
     total = float(np.real(np.vdot(z, z)))
@@ -352,7 +358,7 @@ def oracle_stats(D: Dictionary, z: np.ndarray, k: int) -> tuple[SupportSet, floa
     best_captured = 0.0
     best_tuple: tuple[int, ...] = ()
     for size in range(1, k + 1):
-        supports, bases = _oracle_tables(D, size)
+        supports, bases, _ = _support_bases(D, size)
         captured = np.linalg.norm(np.einsum("sdr,d->sr", bases.conj(), z), axis=1) ** 2
         row = int(np.argmax(captured))
         cap = float(captured[row])

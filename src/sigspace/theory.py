@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
 
 import numpy as np
 
-from .dictionaries import Dictionary
-from .linalg import orthonormal_range
-from .projections import BudgetExceededError
+from .dictionaries import Dictionary, identity_dictionary
+from .projections import BudgetExceededError, _support_bases
 
 # Supports are enumerated exhaustively; beyond this width the count explodes.
 ENUM_MAX_COLUMNS = 20
+
+# Cross-Gram pairs per batched norm: bounds the memory of the suite's pair
+# products whatever the number of supports.
+_PAIR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,16 @@ def _check_enum_budget(n: int, k: int) -> None:
         raise ValueError("k must satisfy 1 <= k <= n")
 
 
+def _checked_measurements(M: np.ndarray, D: Dictionary, k: int) -> np.ndarray:
+    M = np.asarray(M)
+    _check_enum_budget(D.n, k)
+    if M.ndim != 2 or M.shape[1] != D.d:
+        raise ValueError("measurement columns must match the dictionary signal dimension")
+    if not np.isfinite(M).all():
+        raise ValueError("measurement matrix must be finite")
+    return M
+
+
 def exact_drip(M: np.ndarray, D: Dictionary, k: int) -> float:
     """Exact restricted-isometry constant of M over k-term dictionary spans.
 
@@ -125,36 +137,47 @@ def exact_drip(M: np.ndarray, D: Dictionary, k: int) -> float:
     Supports whose atoms are all zero contribute nothing (the quotient is
     restricted to D_T a != 0).
     """
-    M = np.asarray(M)
-    _check_enum_budget(D.n, k)
-    if M.ndim != 2 or M.shape[1] != D.d:
-        raise ValueError("measurement columns must match the dictionary signal dimension")
-    delta = 0.0
-    for T in combinations(range(D.n), k):
-        U = orthonormal_range(D.matrix[:, T])
-        if U.shape[1] == 0:
-            continue
-        s = np.linalg.svd(M @ U, compute_uv=False)
-        # fewer measurement rows than span dimensions leaves a kernel the
-        # truncated singular value list does not show
-        smin_sq = s[-1] ** 2 if s.size == U.shape[1] else 0.0
-        delta = max(delta, s[0] ** 2 - 1.0, 1.0 - smin_sq)
-    return float(delta)
+    M = _checked_measurements(M, D, k)
+    _, bases, ranks = _support_bases(D, k)
+    spanning = ranks > 0
+    ranks = ranks[spanning]
+    if ranks.size == 0:
+        return 0.0
+    s = np.linalg.svd(M @ bases[spanning], compute_uv=False)
+    # the bases are zero-padded, so the smallest singular value of M on a
+    # rank-r span is s[r - 1]; fewer measurement rows than span dimensions
+    # leave a kernel, and the smallest is 0
+    rows = np.arange(ranks.size)
+    smin = np.where(ranks <= M.shape[0], s[rows, np.minimum(ranks, s.shape[1]) - 1], 0.0)
+    return float(max(0.0, np.max(s[:, 0] ** 2) - 1.0, np.max(1.0 - smin**2)))
 
 
 def exact_rip(A: np.ndarray, k: int) -> float:
-    """Exact RIP constant: worst deviation of column-submatrix singular values."""
+    """Exact RIP constant: worst deviation of column-submatrix singular values.
+
+    This is exact_drip over the identity dictionary.
+    """
     A = np.asarray(A)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
-    n = A.shape[1]
-    _check_enum_budget(n, k)
-    delta = 0.0
-    for T in combinations(range(n), k):
-        s = np.linalg.svd(A[:, T], compute_uv=False)
-        smin = s[-1] if len(s) == k else 0.0
-        delta = max(delta, s[0] ** 2 - 1.0, 1.0 - smin**2)
-    return float(delta)
+    _check_enum_budget(A.shape[1], k)
+    return exact_drip(A, identity_dictionary(A.shape[1]), k)
+
+
+def _operator_norms(X: np.ndarray) -> np.ndarray:
+    """Spectral norms of a stack of matrices."""
+    return np.linalg.norm(X, 2, axis=(-2, -1))
+
+
+def _pair_blocks(n1: int, n2: int, upper: bool):
+    """Index arrays (i, j) over all n1 x n2 pairs, or only j >= i when upper,
+    in blocks of at most _PAIR_BLOCK pairs."""
+    for start in range(0, n1 * n2, _PAIR_BLOCK):
+        i, j = np.divmod(np.arange(start, min(start + _PAIR_BLOCK, n1 * n2)), n2)
+        if upper:
+            keep = j >= i
+            i, j = i[keep], j[keep]
+        yield i, j
 
 
 def drip_invariant_suite(M: np.ndarray, D: Dictionary, k: int) -> DripInvariantReport:
@@ -164,39 +187,32 @@ def drip_invariant_suite(M: np.ndarray, D: Dictionary, k: int) -> DripInvariantR
     supports of size <= k, ||P_T (I - M*M) P_T|| <= delta over the same, and
     ||P_T1 (I - M*M) P_T2|| <= delta over all pairs with |T1| + |T2| <= k.
     """
-    M = np.asarray(M)
-    _check_enum_budget(D.n, k)
-    if M.ndim != 2 or M.shape[1] != D.d:
-        raise ValueError("measurement columns must match the dictionary signal dimension")
+    M = _checked_measurements(M, D, k)
     delta = exact_drip(M, D, k)
     A = np.eye(D.d, dtype=np.result_type(M, D.matrix)) - M.conj().T @ M
-    bases: dict[int, list[np.ndarray]] = {s: [] for s in range(1, k + 1)}
-    for size in range(1, k + 1):
-        for T in combinations(range(D.n), size):
-            bases[size].append(orthonormal_range(D.matrix[:, T]))
+    tables = [_support_bases(D, size) for size in range(1, k + 1)]
+    supports = sum(len(table[0]) for table in tables)
+    # bases[s - 1]: the supports of size s with a nonzero span, in order
+    bases = [U[ranks > 0] for _, U, ranks in tables]
+    lefts = [U.conj().swapaxes(1, 2) @ A for U in bases]
     image_slack = math.inf
     self_slack = math.inf
-    supports = 0
-    for size in range(1, k + 1):
-        for U in bases[size]:
-            supports += 1
-            if U.shape[1] == 0:
-                continue
-            s = np.linalg.svd(M @ U, compute_uv=False)
-            image_slack = min(image_slack, (1.0 + delta) - s[0] ** 2)
-            self_slack = min(self_slack, delta - np.linalg.norm(U.conj().T @ A @ U, 2))
+    for U, left in zip(bases, lefts):
+        if len(U):
+            image_slack = min(image_slack, (1.0 + delta) - np.max(_operator_norms(M @ U)) ** 2)
+            self_slack = min(self_slack, delta - np.max(_operator_norms(left @ U)))
+    # pairs with |T1| <= |T2| (T1 <= T2 in enumeration order when the sizes
+    # agree) and |T1| + |T2| <= k
     cross_slack = math.inf
     pairs = 0
-    flat = [(size, U) for size in range(1, k + 1) for U in bases[size]]
-    for i, (s1, U1) in enumerate(flat):
-        if U1.shape[1] == 0:
-            continue
-        left = U1.conj().T @ A
-        for s2, U2 in flat[i:]:
-            if s1 + s2 > k or U2.shape[1] == 0:
-                continue
-            pairs += 1
-            cross_slack = min(cross_slack, delta - np.linalg.norm(left @ U2, 2))
+    for s1 in range(1, k // 2 + 1):
+        for s2 in range(s1, k - s1 + 1):
+            left, right = lefts[s1 - 1], bases[s2 - 1]
+            for i, j in _pair_blocks(len(left), len(right), s1 == s2):
+                pairs += i.size
+                if i.size:
+                    norms = _operator_norms(left[i] @ right[j])
+                    cross_slack = min(cross_slack, delta - np.max(norms))
     if not math.isfinite(cross_slack):
         cross_slack = 0.0
     return DripInvariantReport(

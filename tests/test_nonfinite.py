@@ -14,6 +14,11 @@ from sigspace import (
     gen_sparse_signal,
     overcomplete_dft,
     seed_sequence,
+    drip_invariant_suite,
+    exact_drip,
+    exact_rip,
+    identity_dictionary,
+    oracle_stats,
     select,
     sscosamp,
 )
@@ -74,6 +79,32 @@ def test_select_rejects_non_finite_signal(kind):
     z[5] = np.nan
     with pytest.raises(ValueError, match="finite"):
         select(SelectionScheme(kind, 2), D, z)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_isometry_certificates_reject_non_finite_matrix(bad):
+    # an inf once certified a perfect isometry (delta 0.0): max(0.0, nan) is 0.0
+    D = overcomplete_dft(4, 2)
+    M = np.eye(4)
+    M[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        exact_drip(M, D, 2)
+    with pytest.raises(ValueError, match="finite"):
+        exact_drip(M, identity_dictionary(4), 2)
+    with pytest.raises(ValueError, match="finite"):
+        exact_rip(M, 2)
+    with pytest.raises(ValueError, match="finite"):
+        drip_invariant_suite(M, D, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracle_stats_rejects_non_finite_signal(bad):
+    # a NaN once gave the empty support with residual nan, an inf residual inf
+    D = identity_dictionary(4)
+    z = np.array([1.0, 1.0, 0.0, 0.0])
+    z[0] = bad
+    with pytest.raises(ValueError, match="signal must be finite"):
+        oracle_stats(D, z, 2)
 
 
 def test_cli_project_rejects_nan_signal(tmp_path, capsys):
