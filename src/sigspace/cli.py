@@ -1,7 +1,13 @@
 """JSON-config driven command line for recovery, sweeps, theory and profiling.
 
+Each subcommand checks its config against one declared schema table:
+RECOVER, SWEEP, THEORY (one per mode), GRAM or PROJECT. They share the blocks
+DICTIONARY, MEASUREMENT, SYNTHETIC and VARIANT, and the *_NEEDS tables name
+the keys that each kind of dictionary, measurement or signal reads.
+
 Exit codes are fixed for scripting: 0 success, 1 configuration problem
-(malformed JSON, unknown or missing keys, out-of-range values), 2 runtime
+(malformed JSON, unknown or missing keys, out-of-range values, an m grid
+that is not strictly increasing, duplicated variant labels), 2 runtime
 failure (dimension mismatches, exceeded enumeration budgets, I/O errors).
 With --quiet, stdout carries only the machine-readable JSON result;
 diagnostics go to stderr either way.
@@ -14,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -35,6 +42,7 @@ from .dictionaries import (
     seed_sequence,
 )
 from .experiments import (
+    ALGORITHMS,
     SIGNAL_MODES,
     SweepSettings,
     VariantSpec,
@@ -43,11 +51,12 @@ from .experiments import (
     fig_variants,
     gen_sparse_signal,
     run_sweep,
+    run_variant,
     svg_line_chart,
 )
-from .linalg import SupportSet, captured_and_residual_sq
+from .linalg import captured_and_residual_sq
 from .projections import SCHEME_KINDS, SelectionScheme, select
-from .recovery import HaltingRule, SSCoSaMPConfig, eps_omp_recover, sscosamp
+from .recovery import HaltingRule
 from .theory import (
     ck_bound_cosamp_exact,
     condition_check,
@@ -72,85 +81,269 @@ def bundled_config(name: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# strict schema helpers
+# declared schema: {key: (check, default)} per config block. check(value,
+# "recover.dictionary.d") returns the parsed value or raises ConfigError; the
+# default REQUIRED marks a key that must be present wherever it is read.
 
-def _check_keys(obj: dict, ctx: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{ctx}: expected an object")
-    unknown = sorted(set(obj) - required - optional)
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {unknown}")
-    missing = sorted(required - set(obj))
+REQUIRED = object()
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # JSON numbers; true and false are not numbers
+
+
+def _int(minimum: int):
+    def check(v, where: str) -> int:
+        if type(v) is not int:
+            raise ConfigError(f"{where}: expected an integer")
+        if v < minimum:
+            raise ConfigError(f"{where}: must be >= {minimum}")
+        return v
+
+    return check
+
+
+def _num(minimum: float, strict: bool = False, below=None, maximum=None):
+    def check(v, where: str) -> float:
+        if not _is_number(v):
+            raise ConfigError(f"{where}: expected a number")
+        v = float(v)
+        if not math.isfinite(v):
+            raise ConfigError(f"{where}: must be finite")
+        if v < minimum or (strict and v == minimum):
+            raise ConfigError(f"{where}: must be {'>' if strict else '>='} {minimum}")
+        if below is not None and v >= below:
+            raise ConfigError(f"{where}: must be < {below}")
+        if maximum is not None and v > maximum:
+            raise ConfigError(f"{where}: must be <= {maximum}")
+        return v
+
+    return check
+
+
+def _str(choices=None):
+    def check(v, where: str) -> str:
+        if not isinstance(v, str):
+            raise ConfigError(f"{where}: expected a string")
+        if choices is not None and v not in choices:
+            raise ConfigError(f"{where}: must be one of {sorted(choices)}")
+        return v
+
+    return check
+
+
+def _bool(v, where: str) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where}: expected a boolean")
+    return v
+
+
+def _m_grid(v, where: str) -> list[int]:
+    if not isinstance(v, list) or not v or not all(type(m) is int for m in v):
+        raise ConfigError(f"{where}: expected a nonempty array of integers")
+    if any(a >= b for a, b in zip(v, v[1:])):
+        raise ConfigError(f"{where}: must be strictly increasing")
+    return v
+
+
+def _modes(v, where: str) -> list[str]:
+    if not isinstance(v, list) or not v or not all(m in SIGNAL_MODES for m in v):
+        raise ConfigError(f"{where}: expected a nonempty array of signal modes")
+    return v
+
+
+def _deltas(v, where: str) -> tuple[float, float, float]:
+    if not isinstance(v, list) or len(v) != 3 or not all(map(_is_number, v)):
+        raise ConfigError(f"{where}: expected an array of three numbers")
+    return tuple(float(c) for c in v)
+
+
+def _inline_vector(v, where: str) -> np.ndarray:
+    """A real vector from numbers, or a complex one once any entry is an [re, im] pair."""
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where}: expected a nonempty array")
+    if all(map(_is_number, v)):
+        return np.asarray([float(c) for c in v])
+    pairs = [[c, 0] if _is_number(c) else c for c in v]
+    if not all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in pairs):
+        raise ConfigError(f"{where}: entries must be numbers or [re, im] pairs")
+    return np.asarray([complex(float(re), float(im)) for re, im in pairs])
+
+
+def _build(cls, kwargs: dict, where: str):
+    """cls(**kwargs), with the library's own checks reported as config errors."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _variants(v, where: str) -> tuple[VariantSpec, ...]:
+    if v == "default":
+        return fig_variants()
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{where}: expected 'default' or a nonempty array")
+    specs: list[VariantSpec] = []
+    for i, entry in enumerate(v):
+        vctx = f"{where}[{i}]"
+        spec = _build(VariantSpec, _parse(entry, vctx, VARIANT_ENTRY), vctx)
+        if any(s.label == spec.label for s in specs):
+            raise ConfigError(f"{vctx}: duplicate variant label {spec.label!r}")
+        specs.append(spec)
+    return tuple(specs)
+
+
+def _read(obj: dict, ctx: str, schema: dict, keys) -> dict:
+    missing = sorted(k for k in keys if k not in obj and schema[k][1] is REQUIRED)
     if missing:
         raise ConfigError(f"{ctx}: missing keys {missing}")
+    return {k: schema[k][0](obj[k], f"{ctx}.{k}") if k in obj else schema[k][1] for k in keys}
 
 
-def _get_int(obj: dict, key: str, ctx: str, default=None, minimum=None, maximum=None) -> int:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{ctx}.{key}: expected an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{ctx}.{key}: must be >= {minimum}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{ctx}.{key}: must be <= {maximum}")
-    return v
+def _parse(obj, ctx: str, schema: dict, needs: dict | None = None) -> dict:
+    """The checked keys of obj: every key, or with needs those of obj's kind.
+
+    needs maps each "kind" to the keys it reads; keys that only another kind
+    reads are accepted unread. Keys the schema does not declare are refused,
+    and absent keys read as their defaults.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx}: expected an object")
+    unknown = sorted(set(obj) - set(schema))
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {unknown}")
+    if needs is None:
+        return _read(obj, ctx, schema, schema)
+    kind = _read(obj, ctx, schema, ["kind"])["kind"]
+    return {"kind": kind, **_read(obj, ctx, schema, needs[kind])}
 
 
-def _get_num(
-    obj: dict, key: str, ctx: str, default=None, minimum=None, below=None, strict_min=False
-) -> float:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{ctx}.{key}: expected a number")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{ctx}.{key}: must be finite")
-    if minimum is not None and (v <= minimum if strict_min else v < minimum):
-        op = ">" if strict_min else ">="
-        raise ConfigError(f"{ctx}.{key}: must be {op} {minimum}")
-    if below is not None and v >= below:
-        raise ConfigError(f"{ctx}.{key}: must be < {below}")
-    return v
+def _block(schema: dict, needs: dict | None = None):
+    return lambda v, where: _parse(v, where, schema, needs)
 
 
-def _get_str(obj: dict, key: str, ctx: str, default=None, choices=None) -> str:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{ctx}.{key}: expected a string")
-    if choices is not None and v not in choices:
-        raise ConfigError(f"{ctx}.{key}: must be one of {sorted(choices)}")
-    return v
+def _exclusive(cfg: dict, ctx: str, a: str, b: str) -> None:
+    if cfg[a] is not None and cfg[b] is not None:
+        raise ConfigError(f"{ctx}: give either {a!r} or {b!r}, not both")
 
 
-def _get_bool(obj: dict, key: str, ctx: str, default=False) -> bool:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{ctx}.{key}: expected a boolean")
-    return v
+SEED = (_int(0), 0)
+PATH = (_str(), REQUIRED)
+EPS = (_num(0.0, below=1.0), 0.0)
 
+DICTIONARY_NEEDS = {
+    "container": ("path",),
+    "identity": ("d",),
+    "dft": ("d", "redundancy"),
+    "orthogonal": ("d", "seed"),
+}
+DICTIONARY = {
+    "kind": (_str(DICTIONARY_NEEDS), REQUIRED),
+    "d": (_int(1), REQUIRED),
+    "redundancy": (_int(1), 4),
+    "seed": (_int(0), None),  # None: the run's seed
+    "path": PATH,
+}
+MEASUREMENT_NEEDS = {"container": ("path",), "gaussian": ("m", "field")}
+MEASUREMENT = {
+    "kind": (_str(MEASUREMENT_NEEDS), REQUIRED),
+    "m": (_int(1), REQUIRED),
+    "field": (_str(("real", "complex")), "real"),
+    "path": PATH,
+}
+SYNTHETIC = {
+    "k": (_int(1), REQUIRED),
+    "mode": (_str(SIGNAL_MODES), "clustered"),
+    "noise_level": (_num(0.0), 0.0),
+}
+VARIANT = {
+    "algorithm": (_str(ALGORITHMS), "sscosamp"),
+    "selector": (_str(SCHEME_KINDS), "threshold"),
+    "eps": EPS,
+    "a": (_int(1), 2),
+}
+DICTIONARY_BLOCK = (_block(DICTIONARY, DICTIONARY_NEEDS), REQUIRED)
 
-def _get_int_list(obj: dict, key: str, ctx: str, required: bool = True) -> list[int]:
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{ctx}: missing keys ['{key}']")
-        return []
-    v = obj[key]
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{ctx}.{key}: expected a nonempty array of integers")
-    out = []
-    for item in v:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ConfigError(f"{ctx}.{key}: expected a nonempty array of integers")
-        out.append(item)
-    return out
+RECOVER_SIGNAL_NEEDS = {"synthetic": tuple(SYNTHETIC), "container": ("y_path", "x_path")}
+RECOVER = {
+    "seed": SEED,
+    "include_estimate": (_bool, False),
+    "dictionary": DICTIONARY_BLOCK,
+    "measurement": (_block(MEASUREMENT, MEASUREMENT_NEEDS), REQUIRED),
+    "signal": (_block({
+        "kind": (_str(RECOVER_SIGNAL_NEEDS), REQUIRED),
+        **SYNTHETIC,
+        "y_path": PATH,
+        "x_path": (_str(), None),
+    }, RECOVER_SIGNAL_NEEDS), REQUIRED),
+    "recovery": (_block({
+        "k": (_int(1), REQUIRED),
+        **VARIANT,
+        "max_iters": (_int(1), 50),
+        "residual_tol": (_num(0.0), 1e-6),
+        "stagnation_tol": (_num(0.0), 1e-6),
+    }), REQUIRED),
+}
+
+# A sweep variant names its algorithm; a recovery defaults to sscosamp.
+VARIANT_ENTRY = {"label": (_str(), REQUIRED), **VARIANT,
+                 "algorithm": (VARIANT["algorithm"][0], REQUIRED)}
+SWEEP = {
+    "seed": SEED,
+    "d": (_int(1), REQUIRED),
+    "redundancy": (_int(1), REQUIRED),
+    "k": (_int(1), REQUIRED),
+    "m_grid": (_m_grid, REQUIRED),
+    "trials": (_int(1), REQUIRED),
+    "modes": (_modes, None),
+    "mode": (SYNTHETIC["mode"][0], None),  # exclusive with modes; clustered when neither
+    "noise_level": SYNTHETIC["noise_level"],
+    "success_tol": (_num(0.0, strict=True), 1e-2),
+    "max_iters": (_int(1), 50),
+    "variants": (_variants, fig_variants()),
+}
+
+# Each theory mode has its own keys; seed is accepted and never read.
+THEORY_COMMON = {
+    "mode": (_str(("constants", "chain")), "constants"),
+    "gamma": (_num(0.0, strict=True), 0.01),
+    "zeta": (_num(1.0), 1.0),
+    "seed": (lambda v, where: None, None),
+}
+THEORY = {
+    "chain": {**THEORY_COMMON, "delta": (_num(0.0, below=1.0), REQUIRED)},
+    "constants": {
+        **THEORY_COMMON,
+        "c_k": (_num(1.0), REQUIRED),
+        "ctilde_2k": (_num(0.0, strict=True, maximum=1), REQUIRED),
+        "deltas": (_deltas, None),
+        "delta": (_num(0.0, below=1.0), None),  # exclusive with deltas; 0 when neither
+        "x_norm": (_num(0.0), None),
+        "e_norm": (_num(0.0), None),
+        "max_iters": (_int(1), 50),
+    },
+}
+
+GRAM = {"seed": SEED, "dictionary": DICTIONARY_BLOCK, "atom": (_int(0), 0)}
+
+PROJECT_SIGNAL_NEEDS = {"inline": ("values",), "container": ("path",), "synthetic": tuple(SYNTHETIC)}
+PROJECT = {
+    "seed": SEED,
+    "dictionary": DICTIONARY_BLOCK,
+    "scheme": (_block({
+        "kind": (VARIANT["selector"][0], REQUIRED),
+        "k": (_int(1), REQUIRED),
+        "eps": EPS,
+        "max_iters": (_int(1), None),
+        "rel_tol": (_num(0.0, strict=True), 1e-6),
+    }), REQUIRED),
+    "signal": (_block({
+        "kind": (_str(PROJECT_SIGNAL_NEEDS), REQUIRED),
+        "values": (_inline_vector, REQUIRED),
+        "path": PATH,
+        **SYNTHETIC,
+    }, PROJECT_SIGNAL_NEEDS), REQUIRED),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -166,41 +359,39 @@ def _load_config(path: str) -> dict:
     return obj
 
 
+def _config(args: argparse.Namespace, ctx: str, schema: dict) -> dict:
+    """The config at args.config, parsed; --seed, when given, replaces its seed."""
+    cfg = _load_config(args.config)
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
+        cfg["seed"] = args.seed
+    return _parse(cfg, ctx, schema)
+
+
 # ---------------------------------------------------------------------------
 # shared builders
 
-def _build_dictionary(cfg: dict, ctx: str, seed: int) -> Dictionary:
-    _check_keys(cfg, ctx, {"kind"}, {"d", "redundancy", "seed", "path"})
-    kind = _get_str(cfg, "kind", ctx, choices={"identity", "dft", "orthogonal", "container"})
-    if kind == "container":
-        path = _get_str(cfg, "path", ctx)
-        if path is None:
-            raise ConfigError(f"{ctx}: container dictionaries need a path")
-        try:
-            return load_dictionary(path)
-        except OSError as exc:
-            raise ConfigError(f"{ctx}: cannot read {path}: {exc}") from exc
-    d = _get_int(cfg, "d", ctx, minimum=1)
-    if d is None:
-        raise ConfigError(f"{ctx}: missing keys ['d']")
-    if kind == "identity":
-        return identity_dictionary(d)
-    if kind == "dft":
-        redundancy = _get_int(cfg, "redundancy", ctx, default=4, minimum=1)
-        return overcomplete_dft(d, redundancy)
-    return random_orthogonal_dictionary(d, _get_int(cfg, "seed", ctx, default=seed, minimum=0))
-
-
-def _load_array(path: str, ctx: str) -> np.ndarray:
+def _load(load, path: str, ctx: str):
     try:
-        arr, _ = load_container(path)
+        return load(path)
     except OSError as exc:
         raise ConfigError(f"{ctx}: cannot read {path}: {exc}") from exc
-    return arr
+
+
+def _build_dictionary(cfg: dict, ctx: str, seed: int) -> Dictionary:
+    kind = cfg["kind"]
+    if kind == "container":
+        return _load(load_dictionary, cfg["path"], ctx)
+    if kind == "identity":
+        return identity_dictionary(cfg["d"])
+    if kind == "dft":
+        return overcomplete_dft(cfg["d"], cfg["redundancy"])
+    return random_orthogonal_dictionary(cfg["d"], seed if cfg["seed"] is None else cfg["seed"])
 
 
 def _load_vector(path: str, ctx: str) -> np.ndarray:
-    arr = _load_array(path, ctx)
+    arr, _ = _load(load_container, path, ctx)
     if arr.ndim == 2 and arr.shape[1] == 1:
         return arr[:, 0]
     if arr.ndim == 1:
@@ -209,70 +400,17 @@ def _load_vector(path: str, ctx: str) -> np.ndarray:
 
 
 def _build_measurement(cfg: dict, ctx: str, d: int, seed: int) -> np.ndarray:
-    _check_keys(cfg, ctx, {"kind"}, {"m", "field", "path"})
-    kind = _get_str(cfg, "kind", ctx, choices={"gaussian", "container"})
-    if kind == "container":
-        path = _get_str(cfg, "path", ctx)
-        if path is None:
-            raise ConfigError(f"{ctx}: container measurements need a path")
-        M = _load_array(path, ctx)
+    if cfg["kind"] == "container":
+        M, _ = _load(load_container, cfg["path"], ctx)
         if M.ndim != 2 or M.shape[1] != d:
             raise ValueError(f"{ctx}: measurement matrix does not match signal dimension {d}")
         return M
-    m = _get_int(cfg, "m", ctx, minimum=1)
-    if m is None:
-        raise ConfigError(f"{ctx}: missing keys ['m']")
-    field = _get_str(cfg, "field", ctx, default="real", choices={"real", "complex"})
-    model = gaussian_measurements(m, d, seed_sequence(seed, SALT_MEASUREMENT), field_tag=field)
-    return model.matrix
-
-
-def _build_scheme(cfg: dict, ctx: str) -> SelectionScheme:
-    _check_keys(cfg, ctx, {"kind", "k"}, {"eps", "max_iters", "rel_tol"})
-    kind = _get_str(cfg, "kind", ctx, choices=set(SCHEME_KINDS))
-    k = _get_int(cfg, "k", ctx, minimum=1)
-    eps = _get_num(cfg, "eps", ctx, default=0.0, minimum=0.0, below=1.0)
-    max_iters = _get_int(cfg, "max_iters", ctx, default=None, minimum=1)
-    rel_tol = _get_num(cfg, "rel_tol", ctx, default=1e-6, minimum=0.0, strict_min=True)
-    try:
-        return SelectionScheme(kind, k, eps=eps, max_iters=max_iters, rel_tol=rel_tol)
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: {exc}") from exc
-
-
-def _parse_inline_vector(values: list, ctx: str) -> np.ndarray:
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{ctx}: expected a nonempty array")
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-        return np.asarray([float(v) for v in values])
-    out = np.empty(len(values), dtype=np.complex128)
-    for i, v in enumerate(values):
-        if (
-            not isinstance(v, list)
-            or len(v) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in v)
-        ):
-            raise ConfigError(f"{ctx}: entries must be numbers or [re, im] pairs")
-        out[i] = complex(float(v[0]), float(v[1]))
-    return out
-
-
-def _complex_pairs(x: np.ndarray) -> list:
-    if np.iscomplexobj(x):
-        return [[float(v.real), float(v.imag)] for v in x]
-    return [float(v) for v in x]
+    seeds = seed_sequence(seed, SALT_MEASUREMENT)
+    return gaussian_measurements(cfg["m"], d, seeds, field_tag=cfg["field"]).matrix
 
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-def _effective_seed(cfg: dict, args: argparse.Namespace, ctx: str) -> int:
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        return args.seed
-    return _get_int(cfg, "seed", ctx, default=0, minimum=0)
-
 
 def _resolve_threads(args: argparse.Namespace) -> int:
     if args.threads is not None:
@@ -306,166 +444,56 @@ def _emit(payload: dict, args: argparse.Namespace, filename: str | None = None) 
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    ctx = "recover"
-    _check_keys(
-        cfg, ctx, {"dictionary", "measurement", "signal", "recovery"}, {"seed", "include_estimate"}
-    )
-    seed = _effective_seed(cfg, args, ctx)
-    D = _build_dictionary(cfg["dictionary"], f"{ctx}.dictionary", seed)
-    M = _build_measurement(cfg["measurement"], f"{ctx}.measurement", D.d, seed)
-
+    cfg = _config(args, "recover", RECOVER)
+    seed = cfg["seed"]
+    D = _build_dictionary(cfg["dictionary"], "recover.dictionary", seed)
+    M = _build_measurement(cfg["measurement"], "recover.measurement", D.d, seed)
     sig = cfg["signal"]
-    sctx = f"{ctx}.signal"
-    _check_keys(sig, sctx, {"kind"}, {"k", "mode", "noise_level", "y_path", "x_path"})
-    sig_kind = _get_str(sig, "kind", sctx, choices={"synthetic", "container"})
     x_true = None
-    if sig_kind == "synthetic":
-        k_sig = _get_int(sig, "k", sctx, minimum=1)
-        if k_sig is None:
-            raise ConfigError(f"{sctx}: missing keys ['k']")
-        mode = _get_str(sig, "mode", sctx, default="clustered", choices=set(SIGNAL_MODES))
-        noise_level = _get_num(sig, "noise_level", sctx, default=0.0, minimum=0.0)
-        x_true, _, _ = gen_sparse_signal(D, k_sig, mode, seed_sequence(seed, SALT_SIGNAL))
-        y = add_noise(M @ x_true, noise_level, seed_sequence(seed, SALT_NOISE))
+    if sig["kind"] == "synthetic":
+        x_true, _, _ = gen_sparse_signal(D, sig["k"], sig["mode"], seed_sequence(seed, SALT_SIGNAL))
+        y = add_noise(M @ x_true, sig["noise_level"], seed_sequence(seed, SALT_NOISE))
     else:
-        y_path = _get_str(sig, "y_path", sctx)
-        if y_path is None:
-            raise ConfigError(f"{sctx}: container signals need y_path")
-        y = _load_vector(y_path, sctx)
-        x_path = _get_str(sig, "x_path", sctx)
-        if x_path is not None:
-            x_true = _load_vector(x_path, sctx)
+        y = _load_vector(sig["y_path"], "recover.signal")
+        if sig["x_path"] is not None:
+            x_true = _load_vector(sig["x_path"], "recover.signal")
 
     rec = cfg["recovery"]
-    rctx = f"{ctx}.recovery"
-    _check_keys(
-        rec,
-        rctx,
-        {"k"},
-        {"algorithm", "selector", "eps", "a", "max_iters", "residual_tol", "stagnation_tol"},
-    )
-    k = _get_int(rec, "k", rctx, minimum=1)
-    algorithm = _get_str(rec, "algorithm", rctx, default="sscosamp",
-                         choices={"sscosamp", "eps-omp-direct"})
-    selector = _get_str(rec, "selector", rctx, default="threshold", choices=set(SCHEME_KINDS))
-    eps = _get_num(rec, "eps", rctx, default=0.0, minimum=0.0, below=1.0)
-    a = _get_int(rec, "a", rctx, default=2, minimum=1)
-    halting = HaltingRule(
-        max_iters=_get_int(rec, "max_iters", rctx, default=50, minimum=1),
-        residual_tol=_get_num(rec, "residual_tol", rctx, default=1e-6, minimum=0.0),
-        stagnation_tol=_get_num(rec, "stagnation_tol", rctx, default=1e-6, minimum=0.0),
-    )
-    _diag(args, f"[recover] d={D.d} n={D.n} m={M.shape[0]} k={k} algorithm={algorithm}")
-
-    if algorithm == "eps-omp-direct":
-        x_hat, support = eps_omp_recover(y, M, D, k, eps)
-        payload = {
-            "support": list(support.indices),
-            "iterations": 1,
-            "stop_reason": "single_pass",
-            "residual_norm": float(np.linalg.norm(y - M @ x_hat)),
-        }
-        estimate = x_hat
-    else:
-        try:
-            run_cfg = SSCoSaMPConfig.for_selector(selector, k, eps=eps, a=a, halting=halting)
-        except ValueError as exc:
-            raise ConfigError(f"{rctx}: {exc}") from exc
-        report = sscosamp(y, M, D, run_cfg, x_true=x_true)
-        payload = report.to_dict(include_estimate=False)
-        estimate = report.estimate
-    if _get_bool(cfg, "include_estimate", ctx, default=False):
-        payload["estimate"] = _complex_pairs(estimate)
+    variant = VariantSpec("recover", rec["algorithm"], rec["selector"], rec["eps"], rec["a"])
+    halting = HaltingRule(rec["max_iters"], rec["residual_tol"], rec["stagnation_tol"])
+    k = rec["k"]
+    _diag(args, f"[recover] d={D.d} n={D.n} m={M.shape[0]} k={k} algorithm={variant.algorithm}")
+    report = run_variant(variant, y, M, D, k, halting, x_true=x_true)
+    payload = report.to_dict(include_estimate=cfg["include_estimate"])
     if x_true is not None:
         x_norm = float(np.linalg.norm(x_true))
         if x_norm > 0:
-            payload["relative_error"] = float(np.linalg.norm(estimate - x_true)) / x_norm
+            payload["relative_error"] = float(np.linalg.norm(report.estimate - x_true)) / x_norm
     _emit(payload, args, "recovery_report.json")
     return 0
 
 
-def _parse_variants(cfg: dict, ctx: str) -> tuple[VariantSpec, ...]:
-    if "variants" not in cfg or cfg["variants"] == "default":
-        return fig_variants()
-    raw = cfg["variants"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{ctx}.variants: expected 'default' or a nonempty array")
-    specs = []
-    for i, entry in enumerate(raw):
-        vctx = f"{ctx}.variants[{i}]"
-        _check_keys(entry, vctx, {"label", "algorithm"}, {"selector", "eps", "a"})
-        try:
-            specs.append(
-                VariantSpec(
-                    label=_get_str(entry, "label", vctx),
-                    algorithm=_get_str(entry, "algorithm", vctx,
-                                       choices={"sscosamp", "eps-omp-direct"}),
-                    selector=_get_str(entry, "selector", vctx, default="threshold",
-                                      choices=set(SCHEME_KINDS)),
-                    eps=_get_num(entry, "eps", vctx, default=0.0, minimum=0.0, below=1.0),
-                    a=_get_int(entry, "a", vctx, default=2, minimum=1),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{vctx}: {exc}") from exc
-    return tuple(specs)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    ctx = "sweep"
-    _check_keys(
-        cfg,
-        ctx,
-        {"d", "redundancy", "k", "m_grid", "trials"},
-        {"modes", "mode", "noise_level", "success_tol", "max_iters", "seed", "variants"},
-    )
-    seed = _effective_seed(cfg, args, ctx)
-    d = _get_int(cfg, "d", ctx, minimum=1)
-    redundancy = _get_int(cfg, "redundancy", ctx, minimum=1)
-    k = _get_int(cfg, "k", ctx, minimum=1)
-    m_grid = _get_int_list(cfg, "m_grid", ctx)
-    trials = _get_int(cfg, "trials", ctx, minimum=1)
-    if "modes" in cfg and "mode" in cfg:
-        raise ConfigError(f"{ctx}: give either 'mode' or 'modes', not both")
-    if "modes" in cfg:
-        modes = cfg["modes"]
-        if (
-            not isinstance(modes, list)
-            or not modes
-            or any(not isinstance(v, str) or v not in SIGNAL_MODES for v in modes)
-        ):
-            raise ConfigError(f"{ctx}.modes: expected a nonempty array of signal modes")
-    else:
-        modes = [_get_str(cfg, "mode", ctx, default="clustered", choices=set(SIGNAL_MODES))]
-    variants = _parse_variants(cfg, ctx)
-    settings_kw = dict(
-        d=d,
-        redundancy=redundancy,
-        k=k,
-        noise_level=_get_num(cfg, "noise_level", ctx, default=0.0, minimum=0.0),
-        success_tol=_get_num(cfg, "success_tol", ctx, default=1e-2, minimum=0.0, strict_min=True),
-        max_iters=_get_int(cfg, "max_iters", ctx, default=50, minimum=1),
-    )
+    cfg = _config(args, "sweep", SWEEP)
+    _exclusive(cfg, "sweep", "mode", "modes")
+    modes = cfg["modes"] or [cfg["mode"] or "clustered"]
+    k, m_grid, trials = cfg["k"], cfg["m_grid"], cfg["trials"]
+    for m in m_grid:
+        if not k <= m <= cfg["d"]:
+            raise ConfigError(f"sweep.m_grid: m={m} violates k <= m <= d")
     threads = _resolve_threads(args)
     out_dir = Path(args.out) if args.out is not None else Path(DEFAULT_OUT_DIR)
+    shared = {f.name: cfg[f.name] for f in fields(SweepSettings) if f.name != "mode"}
     summary = {"outputs": [], "sweeps": []}
     for mode in modes:
-        settings = SweepSettings(mode=mode, **settings_kw)
-        try:
-            for m in m_grid:
-                if not k <= m <= d:
-                    raise ValueError(f"m={m} violates k <= m <= d")
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}.m_grid: {exc}") from exc
+        settings = SweepSettings(mode=mode, **shared)
         _diag(args, f"[sweep] mode={mode} grid={m_grid} trials={trials} workers={threads}")
 
         def progress(done: int, total: int) -> None:
             if not args.quiet and (done % 25 == 0 or done == total):
                 print(f"[sweep {mode}] {done}/{total} points", file=sys.stderr)
 
-        curves = run_sweep(settings, variants, m_grid, trials, seed,
+        curves = run_sweep(settings, cfg["variants"], m_grid, trials, cfg["seed"],
                            threads=threads, progress=progress)
         csv_path, svg_path = emit_outputs(curves, out_dir, stem=f"sweep_{mode}")
         for curve in curves:
@@ -494,17 +522,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    ctx = "theory"
-    mode = _get_str(cfg, "mode", ctx, default="constants", choices={"constants", "chain"})
+    raw = _load_config(args.config)
+    mode = _read(raw, "theory", THEORY_COMMON, ["mode"])["mode"]
+    cfg = _parse(raw, "theory", THEORY[mode])
     if mode == "chain":
-        _check_keys(cfg, ctx, {"delta"}, {"mode", "gamma", "zeta", "seed"})
-        delta = _get_num(cfg, "delta", ctx, minimum=0.0, below=1.0)
-        gamma = _get_num(cfg, "gamma", ctx, default=0.01, minimum=0.0, strict_min=True)
-        zeta = _get_num(cfg, "zeta", ctx, default=1.0, minimum=1.0)
+        delta, gamma = cfg["delta"], cfg["gamma"]
         c_k = ck_bound_cosamp_exact(delta, delta, delta)
         ctilde = ctilde_bound_threshold(delta)
-        constants = theory_bundle((delta, delta, delta), c_k, ctilde, gamma, zeta=zeta)
+        constants = theory_bundle((delta, delta, delta), c_k, ctilde, gamma, zeta=cfg["zeta"])
         payload = {
             "mode": "chain",
             "delta": delta,
@@ -514,59 +539,23 @@ def cmd_theory(args: argparse.Namespace) -> int:
             **constants.to_dict(),
         }
     else:
-        _check_keys(
-            cfg,
-            ctx,
-            {"c_k", "ctilde_2k"},
-            {"mode", "gamma", "zeta", "deltas", "delta", "x_norm", "e_norm", "max_iters", "seed"},
-        )
-        c_k = _get_num(cfg, "c_k", ctx, minimum=1.0)
-        ctilde = _get_num(cfg, "ctilde_2k", ctx, minimum=0.0, strict_min=True)
-        if ctilde > 1.0:
-            raise ConfigError(f"{ctx}.ctilde_2k: must be <= 1")
-        gamma = _get_num(cfg, "gamma", ctx, default=0.01, minimum=0.0, strict_min=True)
-        zeta = _get_num(cfg, "zeta", ctx, default=1.0, minimum=1.0)
-        if "deltas" in cfg and "delta" in cfg:
-            raise ConfigError(f"{ctx}: give either 'delta' or 'deltas', not both")
-        if "deltas" in cfg:
-            raw = cfg["deltas"]
-            if (
-                not isinstance(raw, list)
-                or len(raw) != 3
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
-            ):
-                raise ConfigError(f"{ctx}.deltas: expected an array of three numbers")
-            deltas = tuple(float(v) for v in raw)
-        else:
-            delta = _get_num(cfg, "delta", ctx, default=0.0, minimum=0.0, below=1.0)
-            deltas = (delta, delta, delta)
-        try:
-            constants = theory_bundle(
-                deltas,
-                c_k,
-                ctilde,
-                gamma,
-                zeta=zeta,
-                x_norm=_get_num(cfg, "x_norm", ctx, default=None, minimum=0.0),
-                e_norm=_get_num(cfg, "e_norm", ctx, default=None, minimum=0.0),
-                max_iters=_get_int(cfg, "max_iters", ctx, default=50, minimum=1),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{ctx}: {exc}") from exc
+        # the remaining keys are theory_bundle's parameters
+        _exclusive(cfg, "theory", "delta", "deltas")
+        delta = cfg.pop("delta") or 0.0
+        cfg["deltas"] = cfg["deltas"] or (delta, delta, delta)
+        del cfg["mode"], cfg["seed"]
+        constants = _build(theory_bundle, cfg, "theory")
         payload = {"mode": "constants", **constants.to_dict()}
     _emit(payload, args, "theory.json")
     return 0
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    ctx = "gram"
-    _check_keys(cfg, ctx, {"dictionary"}, {"atom", "seed"})
-    seed = _effective_seed(cfg, args, ctx)
-    D = _build_dictionary(cfg["dictionary"], f"{ctx}.dictionary", seed)
-    atom = _get_int(cfg, "atom", ctx, default=0, minimum=0)
+    cfg = _config(args, "gram", GRAM)
+    D = _build_dictionary(cfg["dictionary"], "gram.dictionary", cfg["seed"])
+    atom = cfg["atom"]
     if atom >= D.n:
-        raise ConfigError(f"{ctx}.atom: must be < n = {D.n}")
+        raise ConfigError(f"gram.atom: must be < n = {D.n}")
     _diag(args, f"[gram] d={D.d} n={D.n} atom={atom}")
     profile = gram_profile(D, atom)
     payload = {
@@ -599,35 +588,20 @@ def cmd_gram(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    ctx = "project"
-    _check_keys(cfg, ctx, {"dictionary", "scheme", "signal"}, {"seed"})
-    seed = _effective_seed(cfg, args, ctx)
-    D = _build_dictionary(cfg["dictionary"], f"{ctx}.dictionary", seed)
-    scheme = _build_scheme(cfg["scheme"], f"{ctx}.scheme")
+    cfg = _config(args, "project", PROJECT)
+    seed = cfg["seed"]
+    D = _build_dictionary(cfg["dictionary"], "project.dictionary", seed)
+    scheme = _build(SelectionScheme, cfg["scheme"], "project.scheme")
     sig = cfg["signal"]
-    sctx = f"{ctx}.signal"
-    _check_keys(sig, sctx, {"kind"}, {"values", "path", "k", "mode", "noise_level"})
-    sig_kind = _get_str(sig, "kind", sctx, choices={"inline", "container", "synthetic"})
-    if sig_kind == "inline":
-        if "values" not in sig:
-            raise ConfigError(f"{sctx}: inline signals need values")
-        z = _parse_inline_vector(sig["values"], f"{sctx}.values")
-    elif sig_kind == "container":
-        path = _get_str(sig, "path", sctx)
-        if path is None:
-            raise ConfigError(f"{sctx}: container signals need a path")
-        z = _load_vector(path, sctx)
+    if sig["kind"] == "inline":
+        z = sig["values"]
+    elif sig["kind"] == "container":
+        z = _load_vector(sig["path"], "project.signal")
     else:
-        k_sig = _get_int(sig, "k", sctx, minimum=1)
-        if k_sig is None:
-            raise ConfigError(f"{sctx}: missing keys ['k']")
-        mode = _get_str(sig, "mode", sctx, default="clustered", choices=set(SIGNAL_MODES))
-        z, _, _ = gen_sparse_signal(D, k_sig, mode, seed_sequence(seed, SALT_SIGNAL))
-        noise_level = _get_num(sig, "noise_level", sctx, default=0.0, minimum=0.0)
-        z = add_noise(z, noise_level, seed_sequence(seed, SALT_NOISE))
+        z, _, _ = gen_sparse_signal(D, sig["k"], sig["mode"], seed_sequence(seed, SALT_SIGNAL))
+        z = add_noise(z, sig["noise_level"], seed_sequence(seed, SALT_NOISE))
     if z.shape[0] != D.d:
-        raise ValueError(f"{sctx}: signal length {z.shape[0]} does not match d = {D.d}")
+        raise ValueError(f"project.signal: signal length {z.shape[0]} does not match d = {D.d}")
     _diag(args, f"[project] d={D.d} n={D.n} scheme={scheme.kind} k={scheme.k}")
     support = select(scheme, D, z)
     captured, residual = captured_and_residual_sq(D.matrix, support, z)

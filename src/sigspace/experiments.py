@@ -39,7 +39,7 @@ from .dictionaries import (
 )
 from .linalg import SupportSet
 from .projections import SCHEME_KINDS
-from .recovery import HaltingRule, SSCoSaMPConfig, eps_omp_recover, sscosamp
+from .recovery import HaltingRule, RecoveryReport, SSCoSaMPConfig, eps_omp_recover, sscosamp
 
 SIGNAL_MODES = ("clustered", "separated")
 ALGORITHMS = ("sscosamp", "eps-omp-direct")
@@ -258,32 +258,48 @@ def _trial_inputs(
     return D, model.matrix, x, y
 
 
+def run_variant(
+    variant: VariantSpec, y: np.ndarray, M: np.ndarray, D: Dictionary, k: int,
+    halting: HaltingRule, x_true: np.ndarray | None = None,
+) -> RecoveryReport:
+    """Recover a k-sparse signal from y = M x + e with one variant's algorithm.
+
+    sscosamp iterates with the variant's selector under halting (x_true, when
+    given, adds error norms to the trace). eps-omp-direct is one pass of
+    eps_omp_recover: iterations 1, stop_reason "single_pass", an empty trace.
+    """
+    if variant.algorithm == "sscosamp":
+        config = SSCoSaMPConfig.for_selector(
+            variant.selector, k, eps=variant.eps, a=variant.a, halting=halting
+        )
+        return sscosamp(y, M, D, config, x_true=x_true)
+    start = time.perf_counter()
+    x_hat, support = eps_omp_recover(y, M, D, k, variant.eps)
+    return RecoveryReport(
+        estimate=x_hat,
+        support=support,
+        iterations=1,
+        stop_reason="single_pass",
+        residual_norm=float(np.linalg.norm(y - M @ x_hat)),
+        trace=(),
+        wall_time=time.perf_counter() - start,
+    )
+
+
 def _execute_variant(
     cfg: TrialConfig, D: Dictionary, M: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> TrialRecord:
-    start = time.perf_counter()
-    variant = cfg.variant
-    if variant.algorithm == "sscosamp":
-        run_cfg = SSCoSaMPConfig.for_selector(
-            variant.selector, cfg.k, eps=variant.eps, a=variant.a,
-            halting=HaltingRule(max_iters=cfg.max_iters),
-        )
-        report = sscosamp(y, M, D, run_cfg)
-        x_hat, iterations = report.estimate, max(report.iterations, 1)
-    else:
-        x_hat, _ = eps_omp_recover(y, M, D, cfg.k, variant.eps)
-        iterations = 1
-    wall = time.perf_counter() - start
-    rel = float(np.linalg.norm(x_hat - x) / np.linalg.norm(x))
+    report = run_variant(cfg.variant, y, M, D, cfg.k, HaltingRule(max_iters=cfg.max_iters))
+    rel = float(np.linalg.norm(report.estimate - x) / np.linalg.norm(x))
     return TrialRecord(
         config_hash=cfg.digest(),
-        variant_label=variant.label,
+        variant_label=cfg.variant.label,
         m=cfg.m,
         trial_index=cfg.trial_index,
         success=rel <= cfg.success_tol,
         relative_error=rel,
-        iterations=iterations,
-        wall_time=wall,
+        iterations=max(report.iterations, 1),
+        wall_time=report.wall_time,
     )
 
 

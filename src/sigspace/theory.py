@@ -10,6 +10,7 @@ suite uses to certify hypotheses instead of assuming them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -152,6 +153,10 @@ def exact_drip(M: np.ndarray, D: Dictionary, k: int) -> float:
     return float(max(0.0, np.max(s[:, 0] ** 2) - 1.0, np.max(1.0 - smin**2)))
 
 
+# One identity dictionary per n, so exact_rip reuses its cached support bases.
+_identity = functools.lru_cache(maxsize=16)(identity_dictionary)
+
+
 def exact_rip(A: np.ndarray, k: int) -> float:
     """Exact RIP constant: worst deviation of column-submatrix singular values.
 
@@ -161,7 +166,7 @@ def exact_rip(A: np.ndarray, k: int) -> float:
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     _check_enum_budget(A.shape[1], k)
-    return exact_drip(A, identity_dictionary(A.shape[1]), k)
+    return exact_drip(A, _identity(A.shape[1]), k)
 
 
 def _operator_norms(X: np.ndarray) -> np.ndarray:

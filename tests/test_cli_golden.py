@@ -119,6 +119,7 @@ CASES = [
          1, 'config error: recover.seed: expected an integer\n'),
     case("recover-flag-seed-negative", "recover", RECOVER,
          1, 'config error: --seed must be >= 0\n', argv=["--seed", "-1"]),
+    case("recover-ignores-threads-flag", "recover", RECOVER, 0, '', argv=["--threads", "-1"]),
     case("recover-include-estimate-type", "recover",
          with_keys(RECOVER, include_estimate="yes"),
          1, 'config error: recover.include_estimate: expected a boolean\n'),
@@ -137,7 +138,7 @@ CASES = [
          1, 'config error: recover.dictionary.kind: expected a string\n'),
     case("recover-dict-container-no-path", "recover",
          with_block(RECOVER_FILES, "dictionary", path=None),
-         1, 'config error: recover.dictionary: container dictionaries need a path\n'),
+         1, "config error: recover.dictionary: missing keys ['path']\n"),
     case("recover-dict-container-path-type", "recover",
          with_block(RECOVER_FILES, "dictionary", path=3),
          1, 'config error: recover.dictionary.path: expected a string\n'),
@@ -166,7 +167,7 @@ CASES = [
          1, "config error: recover.measurement.kind: must be one of ['container', 'gaussian']\n"),
     case("recover-meas-container-no-path", "recover",
          with_block(RECOVER_FILES, "measurement", path=None),
-         1, 'config error: recover.measurement: container measurements need a path\n'),
+         1, "config error: recover.measurement: missing keys ['path']\n"),
     case("recover-meas-container-shape", "recover",
          with_block(RECOVER_FILES, "measurement", path=f"{TMP}/M_bad.sgc"),
          2, 'error: recover.measurement: measurement matrix does not match signal dimension 16\n'),
@@ -203,7 +204,7 @@ CASES = [
          1, 'config error: recover.signal.noise_level: must be finite\n'),
     case("recover-signal-container-no-y", "recover",
          with_block(RECOVER_FILES, "signal", y_path=None),
-         1, 'config error: recover.signal: container signals need y_path\n'),
+         1, "config error: recover.signal: missing keys ['y_path']\n"),
     case("recover-signal-y-not-vector", "recover",
          with_block(RECOVER_FILES, "signal", y_path=f"{TMP}/mat.sgc"),
          2, 'error: recover.signal: @TMP@/mat.sgc does not hold a vector\n'),
@@ -265,9 +266,9 @@ CASES = [
     case("sweep-m-grid-string", "sweep", with_keys(SWEEP, m_grid="4"),
          1, 'config error: sweep.m_grid: expected a nonempty array of integers\n'),
     case("sweep-m-grid-decreasing", "sweep", with_keys(SWEEP, m_grid=[8, 4]),
-         2, 'error: m grid must be strictly increasing\n'),
+         1, 'config error: sweep.m_grid: must be strictly increasing\n'),
     case("sweep-m-grid-repeated", "sweep", with_keys(SWEEP, m_grid=[4, 4]),
-         2, 'error: m grid must be strictly increasing\n'),
+         1, 'config error: sweep.m_grid: must be strictly increasing\n'),
     case("sweep-m-grid-below-k", "sweep", with_keys(SWEEP, m_grid=[0, 8]),
          1, 'config error: sweep.m_grid: m=0 violates k <= m <= d\n'),
     case("sweep-m-grid-above-d", "sweep", with_keys(SWEEP, m_grid=[4, 16]),
@@ -319,12 +320,14 @@ CASES = [
          1, 'config error: sweep.variants[0].a: must be >= 1\n'),
     case("sweep-variant-duplicate-label", "sweep",
          with_keys(SWEEP, variants=[VARIANT, with_keys(VARIANT, selector="omp")]),
-         2, "error: duplicate variant label 't'\n"),
+         1, "config error: sweep.variants[1]: duplicate variant label 't'\n"),
     # ---- theory
     case("theory-valid-chain", "theory", CHAIN, 0, ''),
     case("theory-valid-chain-any-seed", "theory", with_keys(CHAIN, seed="x"), 0, ''),
     case("theory-valid-constants", "theory", CONSTANTS, 0, ''),
     case("theory-valid-constants-any-seed", "theory", with_keys(CONSTANTS, seed=[1]), 0, ''),
+    case("theory-ignores-seed-flag", "theory", CHAIN, 0, '', argv=["--seed", "-1"]),
+    case("theory-ignores-threads-flag", "theory", CHAIN, 0, '', argv=["--threads", "-1"]),
     case("theory-valid-constants-delta", "theory",
          with_keys(CONSTANTS, deltas=None, delta=0.01, x_norm=10.0, e_norm=0.1,
                    max_iters=20, gamma=0.05, zeta=2.0, mode="constants"), 0, ''),
@@ -450,7 +453,7 @@ CASES = [
          1, "config error: project.signal.kind: must be one of ['container', 'inline', 'synthetic']\n"),
     case("project-inline-no-values", "project",
          with_block(PROJECT, "signal", values=None),
-         1, 'config error: project.signal: inline signals need values\n'),
+         1, "config error: project.signal: missing keys ['values']\n"),
     case("project-inline-values-empty", "project",
          with_block(PROJECT, "signal", values=[]),
          1, 'config error: project.signal.values: expected a nonempty array\n'),
@@ -464,14 +467,13 @@ CASES = [
          with_block(PROJECT, "signal", values=[True, 0, 0, 0]),
          1, 'config error: project.signal.values: entries must be numbers or [re, im] pairs\n'),
     case("project-inline-values-mixed", "project",
-         with_block(PROJECT, "signal", values=[[1, 0], [0, 1], 0, 0]),
-         1, 'config error: project.signal.values: entries must be numbers or [re, im] pairs\n'),
+         with_block(PROJECT, "signal", values=[[1, 0], [0, 1], 0, 0]), 0, ''),
     case("project-inline-values-length", "project",
          with_block(PROJECT, "signal", values=[1.0, 2.0, 3.0]),
          2, 'error: project.signal: signal length 3 does not match d = 4\n'),
     case("project-container-no-path", "project",
          with_keys(PROJECT, signal={"kind": "container"}),
-         1, 'config error: project.signal: container signals need a path\n'),
+         1, "config error: project.signal: missing keys ['path']\n"),
     case("project-container-not-vector", "project",
          with_keys(PROJECT, signal={"kind": "container", "path": f"{TMP}/mat.sgc"}),
          2, 'error: project.signal: @TMP@/mat.sgc does not hold a vector\n'),
@@ -529,3 +531,27 @@ def run_case(cmd, cfg, argv, tmp_path, capsys):
 @pytest.mark.parametrize("cmd, cfg, argv, code, err", CASES)
 def test_golden(cmd, cfg, argv, code, err, container_files, capsys):
     assert run_case(cmd, cfg, argv, container_files, capsys) == (code, err)
+
+
+def test_mixed_inline_values_make_a_complex_signal(container_files, capsys):
+    cfg = with_block(PROJECT, "signal", values=[[1, 2], 3, 0, [0, -1]])
+    assert run_case("project", cfg, [], container_files, capsys) == (0, "")
+    payload = json.loads((container_files / "out" / "projection.json").read_text())
+    assert payload["support"] == [0, 1]
+    assert payload["captured_energy"] == pytest.approx(14.0, abs=1e-12)
+    assert payload["residual_energy"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_direct_pursuit_report_has_the_sscosamp_fields(container_files, capsys):
+    reports = {}
+    for algorithm in ("sscosamp", "eps-omp-direct"):
+        cfg = with_block(RECOVER, "recovery", algorithm=algorithm, eps=0.3)
+        assert run_case("recover", cfg, [], container_files, capsys) == (0, "")
+        path = container_files / "out" / "recovery_report.json"
+        reports[algorithm] = json.loads(path.read_text())
+    direct = reports["eps-omp-direct"]
+    assert list(direct) == list(reports["sscosamp"])
+    assert direct["iterations"] == 1
+    assert direct["stop_reason"] == "single_pass"
+    assert direct["trace"] == []
+    assert direct["wall_time"] >= 0.0
