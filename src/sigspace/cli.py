@@ -457,6 +457,10 @@ def cmd_recover(args: argparse.Namespace) -> int:
         y = _load_vector(sig["y_path"], "recover.signal")
         if sig["x_path"] is not None:
             x_true = _load_vector(sig["x_path"], "recover.signal")
+            if x_true.shape != (D.d,) or not np.isfinite(x_true).all():
+                raise ValueError(
+                    f"recover.signal: {sig['x_path']} must hold d = {D.d} finite entries"
+                )
 
     rec = cfg["recovery"]
     variant = VariantSpec("recover", rec["algorithm"], rec["selector"], rec["eps"], rec["a"])

@@ -10,11 +10,14 @@ scheduled.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .linalg import _adjoint_apply
 
 # Salts for derived seed streams. Fixed for the life of the file format.
 SALT_SIGNAL = 1
@@ -44,7 +47,14 @@ class Dictionary:
     kind is a coarse tag used by the container format and the CLI; it carries
     no behavior beyond bookkeeping. Correlation-derived structures (used by the
     extension schemes) and the support bases of the exhaustive certificates
-    and the brute-force oracle are cached per instance.
+    and the brute-force oracle are cached per instance, so the matrix must not
+    change after construction.
+
+    The analysis operator D^H r and the measured dictionary M D run by FFT
+    when the matrix is exactly overcomplete_dft(d, redundancy): that function
+    marks its instance, and load_dictionary marks a container whose payload
+    equals it bit for bit. Any other matrix, whatever its kind tag, takes the
+    dense products.
     """
 
     matrix: np.ndarray
@@ -53,6 +63,7 @@ class Dictionary:
     unit_norm: bool = False
     _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _support_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _fft: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix)
@@ -81,6 +92,30 @@ class Dictionary:
     def atom_norms(self) -> np.ndarray:
         return np.linalg.norm(self.matrix, axis=0)
 
+    def analysis(self, r: np.ndarray) -> np.ndarray:
+        """D^H r: the inner product of every atom with r.
+
+        For the overcomplete DFT this is the length-n zero-padded FFT of r
+        over sqrt(d), O(n log n) instead of O(n d).
+        """
+        if not self._fft:
+            return _adjoint_apply(self.matrix, r)
+        if r.shape != (self.d,):
+            raise ValueError("signal length must match the dictionary dimension")
+        return np.fft.fft(r, self.n) / math.sqrt(self.d)
+
+    def measured(self, M: np.ndarray) -> np.ndarray:
+        """M D: the measured atoms, one column per atom.
+
+        For the overcomplete DFT these are the length-n inverse FFTs of M's
+        rows scaled by n / sqrt(d), O(m n log n) instead of O(m d n).
+        """
+        if not self._fft:
+            return M @ self.matrix
+        if M.ndim != 2 or M.shape[1] != self.d:
+            raise ValueError("measurement columns must match the dictionary dimension")
+        return np.fft.ifft(M, self.n, axis=1) * (self.n / math.sqrt(self.d))
+
     def correlation_rows(self, indices: np.ndarray) -> np.ndarray:
         """|<d_i, d_j>| / (||d_i|| ||d_j||) for j in indices, all i; shape (len(indices), n)."""
         norms = self.atom_norms()
@@ -96,7 +131,9 @@ class Dictionary:
         """Per-atom extension sets: sorted j with correlation(i, j) >= 1 - max(eps^2, 1e-12).
 
         The 1e-12 slack makes eps = 0 capture exactly collinear (e.g. repeated)
-        atoms despite floating-point rounding in the Gram products.
+        atoms despite floating-point rounding in the Gram products. The
+        overcomplete DFT's correlations depend only on (j - i) mod n, so its
+        table comes from one correlation row: row i is row 0 shifted by i.
         """
         if not 0.0 <= eps < 1.0:
             raise ValueError("eps must lie in [0, 1)")
@@ -105,15 +142,19 @@ class Dictionary:
         if table is not None:
             return table
         threshold = 1.0 - max(eps * eps, 1e-12)
-        sets = []
-        block = 512
-        for start in range(0, self.n, block):
-            idx = np.arange(start, min(start + block, self.n))
-            rows = self.correlation_rows(idx)
-            for r in range(rows.shape[0]):
-                hits = np.flatnonzero(rows[r] >= threshold)
-                sets.append(hits.astype(np.intp))
-        table = tuple(sets)
+        if self._fft:
+            hits = np.flatnonzero(self.correlation_rows(np.arange(1))[0] >= threshold)
+            table = tuple(np.sort((np.arange(self.n)[:, None] + hits) % self.n, axis=1))
+        else:
+            sets = []
+            block = 512
+            for start in range(0, self.n, block):
+                idx = np.arange(start, min(start + block, self.n))
+                rows = self.correlation_rows(idx)
+                for r in range(rows.shape[0]):
+                    hits = np.flatnonzero(rows[r] >= threshold)
+                    sets.append(hits.astype(np.intp))
+            table = tuple(sets)
         self._neighbor_cache[key] = table
         return table
 
@@ -154,7 +195,9 @@ def overcomplete_dft(d: int, redundancy: int) -> Dictionary:
     t = np.arange(d)[:, None]
     j = np.arange(n)[None, :]
     mat = np.exp((2j * np.pi / n) * (t * j)) / np.sqrt(d)
-    return Dictionary(mat, kind="dft", redundancy=redundancy, unit_norm=True)
+    D = Dictionary(mat, kind="dft", redundancy=redundancy, unit_norm=True)
+    D._fft = True
+    return D
 
 
 def identity_dictionary(d: int) -> Dictionary:
@@ -326,5 +369,11 @@ def save_dictionary(path: str | Path, D: Dictionary) -> None:
 
 
 def load_dictionary(path: str | Path) -> Dictionary:
+    """The container's dictionary; a "dft" payload that equals
+    overcomplete_dft(d, redundancy) bit for bit gets its FFT operators."""
     arr, meta = load_container(path)
-    return Dictionary(arr, kind=meta.kind, redundancy=meta.redundancy, unit_norm=meta.unit_norm)
+    D = Dictionary(arr, kind=meta.kind, redundancy=meta.redundancy, unit_norm=meta.unit_norm)
+    d, r = arr.shape[0], meta.redundancy
+    if meta.kind == "dft" and d >= 1 and r >= 1 and arr.shape[1] == d * r:
+        D._fft = np.array_equal(arr, overcomplete_dft(d, r).matrix)
+    return D

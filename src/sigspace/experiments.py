@@ -21,6 +21,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
@@ -48,6 +49,9 @@ ALGORITHMS = ("sscosamp", "eps-omp-direct")
 RATE_DROP_ALARM = 0.3
 
 CSV_HEADER = "variant,m,trials,successes,rate,mean_rel_error,mean_iters"
+
+# BLAS thread counts every sweep worker starts with (see _worker_pool).
+_WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _SEPARATED_ATTEMPTS = 100_000
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
@@ -360,6 +364,34 @@ def _pool_job(point: tuple[int, int]) -> list[TrialRecord]:
     return [_execute_variant(cfg, D, M, x, y) for cfg in configs]
 
 
+@contextmanager
+def _worker_pool(workers: int, initargs: tuple):
+    """A spawned pool of sweep workers whose BLAS runs on one thread.
+
+    BLAS reads its thread count when numpy loads, which a spawned worker does
+    before any initializer runs, so the count is set in the environment the
+    workers start from and the parent's values are restored on exit. One
+    thread for every worker count keeps results independent of the number of
+    workers, and workers do not compete with each other's BLAS threads.
+    """
+    saved = {name: os.environ.get(name) for name in _WORKER_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_WORKER_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=get_context("spawn"),
+            initializer=_pool_init,
+            initargs=initargs,
+        ) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def resolve_threads(threads: int) -> int:
     if threads < 0:
         raise ValueError("threads must be >= 0")
@@ -381,8 +413,9 @@ def run_sweep(
 
     Every (m, trial) point is a pool job that runs all variants on identical
     inputs. Jobs always execute in spawned worker processes (threads = 1 uses
-    a single-worker pool) and are aggregated in fixed (variant, m, trial)
-    order, so the output never depends on the degree of parallelism.
+    a single-worker pool) with single-threaded BLAS and are aggregated in
+    fixed (variant, m, trial) order, so the output never depends on the
+    degree of parallelism.
     """
     variants = tuple(variants)
     m_grid = tuple(int(m) for m in m_grid)
@@ -405,12 +438,7 @@ def run_sweep(
     workers = resolve_threads(threads)
     chunk = max(1, len(points) // (workers * 8) or 1)
     by_point: dict[tuple[int, int], list[TrialRecord]] = {}
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=get_context("spawn"),
-        initializer=_pool_init,
-        initargs=(settings, variants, base_seed),
-    ) as pool:
+    with _worker_pool(workers, (settings, variants, base_seed)) as pool:
         for done, (point, records) in enumerate(
             zip(points, pool.map(_pool_job, points, chunksize=chunk)), start=1
         ):

@@ -81,6 +81,11 @@ class SupportSet:
         return i in self.indices
 
 
+def _adjoint_apply(A: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """A^H r without building A^H: one pass over A, no copy of the matrix."""
+    return (r.conj() @ A).conj()
+
+
 def subdict(D: np.ndarray, T: SupportSet) -> np.ndarray:
     """Columns of D restricted to T, in ascending index order."""
     if D.shape[1] != T.universe:

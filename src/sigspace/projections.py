@@ -18,13 +18,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations
+from typing import Callable
 
 import numpy as np
 
 from .dictionaries import SALT_ESTIMATOR, Dictionary, rng_from
 from .linalg import (
     SupportSet,
+    _adjoint_apply,
     captured_and_residual_sq,
     rank_rcond,
     top_k_indices,
@@ -106,16 +109,11 @@ def zeta_factor(scheme: SelectionScheme, D: Dictionary) -> int:
     return max(len(hits) for hits in table)
 
 
-def _adjoint_apply(A: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """A^H r without building A^H: one pass over A, no copy of the matrix."""
-    return (r.conj() @ A).conj()
-
-
 def threshold_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     """Indices of the k largest |d_i^* z|; ties go to the lowest index."""
     if not 1 <= k <= D.n:
         raise ValueError("threshold requires 1 <= k <= n")
-    corr = np.abs(_adjoint_apply(D.matrix, z))
+    corr = np.abs(D.analysis(z))
     return SupportSet(tuple(int(i) for i in top_k_indices(corr, k)), D.n)
 
 
@@ -168,6 +166,7 @@ def _greedy(
     k: int,
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
+    analysis: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[SupportSet, SupportSet]:
     """The greedy pursuit behind OMP, eps-OMP and eps-thresholding.
 
@@ -178,9 +177,12 @@ def _greedy(
     updated one orthonormal direction per pick (see _Residual); without it
     they stay those of z. Stops early once every column is excluded. Returns
     the picks and the final exclusion mask (the closure), both as supports.
+    analysis(r) computes A^H r: a dictionary's own operator, the dense product
+    when not given.
     """
+    analysis = analysis or partial(_adjoint_apply, A)
     d, n = A.shape
-    corr = np.abs(_adjoint_apply(A, z))
+    corr = np.abs(analysis(z))
     excluded = np.zeros(n, dtype=bool)
     picks: list[int] = []
     # only the picks before the last are re-fitted, and at most d directions exist
@@ -190,7 +192,7 @@ def _greedy(
             break
         if fit is not None and picks:
             fit.add(A[:, picks[-1]])
-            corr = np.abs(_adjoint_apply(A, fit.r))
+            corr = np.abs(analysis(fit.r))
         corr[excluded] = -1.0
         i = int(np.argmax(corr))
         picks.append(i)
@@ -202,7 +204,7 @@ def omp_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     """Orthogonal matching pursuit: k greedy picks with full re-fit each round."""
     if not 1 <= k <= min(D.d, D.n):
         raise ValueError("omp requires 1 <= k <= min(d, n)")
-    return _greedy(D.matrix, z, k)[0]
+    return _greedy(D.matrix, z, k, analysis=D.analysis)[0]
 
 
 def eps_extend(D: Dictionary, T: SupportSet, eps: float) -> SupportSet:
@@ -220,7 +222,7 @@ def eps_omp_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportS
     answer is the closure itself (at most zeta*k atoms)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy(D.matrix, z, k, D.neighbor_table(eps))[1]
+    return _greedy(D.matrix, z, k, D.neighbor_table(eps), analysis=D.analysis)[1]
 
 
 def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportSet:
@@ -228,7 +230,7 @@ def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> Su
     each round takes the best atom outside the current closure."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy(D.matrix, z, k, D.neighbor_table(eps), refit=False)[1]
+    return _greedy(D.matrix, z, k, D.neighbor_table(eps), refit=False, analysis=D.analysis)[1]
 
 
 def _sparse_support(values: np.ndarray) -> SupportSet:
@@ -256,7 +258,7 @@ def cosamp_rep_select(
     for _ in range(max_iters):
         if converged:
             break
-        proxy = np.abs(_adjoint_apply(D.matrix, r))
+        proxy = np.abs(D.analysis(r))
         omega = np.union1d(np.flatnonzero(alpha), top_k_indices(proxy, 2 * k))
         cols = D.matrix[:, omega]
         coef, _, _, _ = np.linalg.lstsq(cols, z, rcond=rank_rcond(cols.shape))
@@ -291,7 +293,7 @@ def iht_rep_select(
     for _ in range(max_iters):
         if converged:
             break
-        v = alpha + _adjoint_apply(D.matrix, r)
+        v = alpha + D.analysis(r)
         keep = top_k_indices(np.abs(v), k)
         new_alpha = np.zeros_like(alpha)
         new_alpha[keep] = v[keep]

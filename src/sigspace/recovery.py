@@ -230,14 +230,15 @@ def eps_omp_recover(
 ) -> tuple[np.ndarray, SupportSet]:
     """One-shot eps-OMP on the measured atoms.
 
-    Selection correlates the residual against the columns of M D, exclusion
-    uses the dictionary's own correlation closure, and the final estimate is a
-    min-norm fit of y over the measured atoms of the closure.
+    Selection correlates the residual against the columns of M D (built by
+    D.measured, so by FFT for the overcomplete DFT), exclusion uses the
+    dictionary's own correlation closure, and the final estimate is a min-norm
+    fit of y over the measured atoms of the closure.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     y, M = _checked_measurements(y, M, D)
-    support = _greedy(M @ D.matrix, y, k, D.neighbor_table(eps))[1]
+    support = _greedy(D.measured(M), y, k, D.neighbor_table(eps))[1]
     x = ls_synthesize(M, D.matrix, support, y)
     return x, support
 

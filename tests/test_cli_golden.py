@@ -211,6 +211,12 @@ CASES = [
     case("recover-signal-x-path-type", "recover",
          with_block(RECOVER_FILES, "signal", x_path=3),
          1, 'config error: recover.signal.x_path: expected a string\n'),
+    case("recover-signal-x-wrong-length", "recover",
+         with_block(RECOVER_FILES, "signal", x_path=f"{TMP}/z4.sgc"),
+         2, 'error: recover.signal: @TMP@/z4.sgc must hold d = 16 finite entries\n'),
+    case("recover-signal-x-not-finite", "recover",
+         with_block(RECOVER_FILES, "signal", x_path=f"{TMP}/x_nan.sgc"),
+         2, 'error: recover.signal: @TMP@/x_nan.sgc must hold d = 16 finite entries\n'),
     # ---- recover: recovery block
     case("recover-rec-not-object", "recover", with_keys(RECOVER, recovery=[]),
          1, 'config error: recover.recovery: expected an object\n'),
@@ -500,6 +506,7 @@ def make_container_files(tmp_path):
     save_container(tmp_path / "M_bad.sgc", gaussian_measurements(12, 10, seed=5).matrix)
     save_container(tmp_path / "y.sgc", M @ x)
     save_container(tmp_path / "x.sgc", x)
+    save_container(tmp_path / "x_nan.sgc", np.where(np.arange(16) == 3, np.nan, x))
     save_container(tmp_path / "z4.sgc", np.array([0.5, -2.0, 1.0, 0.25]))
     save_container(tmp_path / "mat.sgc", np.ones((4, 3)))
     return tmp_path
