@@ -149,6 +149,8 @@ def _m_grid(v, where: str) -> list[int]:
 def _modes(v, where: str) -> list[str]:
     if not isinstance(v, list) or not v or not all(m in SIGNAL_MODES for m in v):
         raise ConfigError(f"{where}: expected a nonempty array of signal modes")
+    if len(set(v)) != len(v):
+        raise ConfigError(f"{where}: lists a signal mode twice")
     return v
 
 
@@ -488,19 +490,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     threads = _resolve_threads(args)
     out_dir = Path(args.out) if args.out is not None else Path(DEFAULT_OUT_DIR)
     shared = {f.name: cfg[f.name] for f in fields(SweepSettings) if f.name != "mode"}
+    settings = SweepSettings(mode=modes[0], **shared)
+    _diag(args, f"[sweep] modes={','.join(modes)} grid={m_grid} trials={trials} workers={threads}")
+
+    def progress(done: int, total: int) -> None:
+        if not args.quiet and (done % 25 == 0 or done == total):
+            print(f"[sweep] {done}/{total} points", file=sys.stderr)
+
+    curves = run_sweep(settings, cfg["variants"], m_grid, trials, cfg["seed"],
+                       threads=threads, progress=progress, modes=modes)
     summary = {"outputs": [], "sweeps": []}
     for mode in modes:
-        settings = SweepSettings(mode=mode, **shared)
-        _diag(args, f"[sweep] mode={mode} grid={m_grid} trials={trials} workers={threads}")
-
-        def progress(done: int, total: int) -> None:
-            if not args.quiet and (done % 25 == 0 or done == total):
-                print(f"[sweep {mode}] {done}/{total} points", file=sys.stderr)
-
-        curves = run_sweep(settings, cfg["variants"], m_grid, trials, cfg["seed"],
-                           threads=threads, progress=progress)
-        csv_path, svg_path = emit_outputs(curves, out_dir, stem=f"sweep_{mode}")
-        for curve in curves:
+        mode_curves = [c for c in curves if c.mode == mode]
+        csv_path, svg_path = emit_outputs(mode_curves, out_dir, stem=f"sweep_{mode}")
+        for curve in mode_curves:
             for lo, hi in curve.alarms:
                 _diag(args, f"[sweep {mode}] alarm: {curve.label} rate drops > 0.3 "
                             f"between m={lo} and m={hi}")
@@ -517,7 +520,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         "rates": list(c.rates),
                         "alarms": [list(a) for a in c.alarms],
                     }
-                    for c in curves
+                    for c in mode_curves
                 ],
             }
         )

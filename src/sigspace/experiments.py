@@ -5,7 +5,9 @@ the same measurement matrix, signal and noise, so curves are comparable
 point by point. Trial inputs derive from (base_seed, salt, m, trial) seed
 sequences only, never from execution order, and every sweep runs through a
 spawned worker pool even for one worker, so results are identical no matter
-how many processes are used.
+how many processes are used. The measurement matrix's seed does not depend on
+the support mode, so both geometries of a sweep see the same M at each
+(m, trial).
 
 Success means relative signal error at most success_tol (default 1e-2), which
 in practice separates exact-support recoveries from misses by orders of
@@ -131,8 +133,10 @@ class TrialConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Outcome of one (variant, m, trial). wall_time is informational only and
-    is excluded from persistence and equality-of-results comparisons."""
+    """Outcome of one (variant, m, trial). stop_reason is the report's
+    ("single_pass" for eps-omp-direct). stop_reason and wall_time never enter
+    the CSV; wall_time is informational only and is excluded from
+    equality-of-results comparisons."""
 
     config_hash: str
     variant_label: str
@@ -141,6 +145,7 @@ class TrialRecord:
     success: bool
     relative_error: float
     iterations: int
+    stop_reason: str
     wall_time: float
 
 
@@ -150,7 +155,8 @@ class RecoveryCurve:
 
     rates[i] is exactly successes[i] / trials. alarms lists adjacent m pairs
     where the rate dropped by more than RATE_DROP_ALARM (a sanity flag, not a
-    failure).
+    failure). mode is the support geometry of the trials (run_sweep always
+    sets it; "" means not recorded).
     """
 
     label: str
@@ -162,6 +168,7 @@ class RecoveryCurve:
     mean_rel_errors: tuple[float, ...]
     mean_iters: tuple[float, ...]
     alarms: tuple[tuple[int, int], ...] = field(default=())
+    mode: str = ""
 
 
 _DICT_CACHE: dict[tuple[int, int], Dictionary] = {}
@@ -248,18 +255,27 @@ def add_noise(v: np.ndarray, level: float, seed: np.random.SeedSequence) -> np.n
     return v + level * g / np.linalg.norm(g)
 
 
+def _measurement_matrix(cfg: TrialConfig) -> np.ndarray:
+    """The trial's M; its seed depends on (base_seed, m, trial), not the mode."""
+    meas_seed = seed_sequence(cfg.base_seed, SALT_MEASUREMENT, cfg.m, cfg.trial_index)
+    return gaussian_measurements(cfg.m, cfg.d, meas_seed).matrix
+
+
 def _trial_inputs(
-    cfg: TrialConfig,
+    cfg: TrialConfig, M: np.ndarray | None = None
 ) -> tuple[Dictionary, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic (D, M, x, y) for a trial; independent of the variant."""
+    """Deterministic (D, M, x, y) for a trial; independent of the variant.
+
+    M, when given, must be _measurement_matrix(cfg); it is built otherwise.
+    """
     D = _dictionary_for(cfg.d, cfg.redundancy)
     sig_seed = seed_sequence(cfg.base_seed, SALT_SIGNAL, cfg.trial_index)
     x, _, _ = gen_sparse_signal(D, cfg.k, cfg.mode, sig_seed)
-    meas_seed = seed_sequence(cfg.base_seed, SALT_MEASUREMENT, cfg.m, cfg.trial_index)
-    model = gaussian_measurements(cfg.m, cfg.d, meas_seed)
+    if M is None:
+        M = _measurement_matrix(cfg)
     noise_seed = seed_sequence(cfg.base_seed, SALT_NOISE, cfg.m, cfg.trial_index)
-    y = add_noise(model.matrix @ x, cfg.noise_level, noise_seed)
-    return D, model.matrix, x, y
+    y = add_noise(M @ x, cfg.noise_level, noise_seed)
+    return D, M, x, y
 
 
 def run_variant(
@@ -303,6 +319,7 @@ def _execute_variant(
         success=rel <= cfg.success_tol,
         relative_error=rel,
         iterations=max(report.iterations, 1),
+        stop_reason=report.stop_reason,
         wall_time=report.wall_time,
     )
 
@@ -327,7 +344,8 @@ class SweepSettings:
 
 
 def _point_configs(
-    settings: SweepSettings, variants: tuple[VariantSpec, ...], m: int, trial: int, base_seed: int
+    settings: SweepSettings, variants: tuple[VariantSpec, ...], m: int, trial: int, base_seed: int,
+    mode: str,
 ) -> list[TrialConfig]:
     return [
         TrialConfig(
@@ -336,7 +354,7 @@ def _point_configs(
             k=settings.k,
             m=m,
             variant=variant,
-            mode=settings.mode,
+            mode=mode,
             noise_level=settings.noise_level,
             base_seed=base_seed,
             trial_index=trial,
@@ -349,18 +367,39 @@ def _point_configs(
 
 _WORKER_ENV: tuple[SweepSettings, tuple[VariantSpec, ...], int] | None = None
 
+# The last measurement matrix a worker built, keyed by (base_seed, d, m, trial).
+_LAST_M: tuple[tuple[int, int, int, int], np.ndarray] | None = None
+
 
 def _pool_init(settings: SweepSettings, variants: tuple[VariantSpec, ...], base_seed: int) -> None:
     global _WORKER_ENV
     _WORKER_ENV = (settings, variants, base_seed)
 
 
-def _pool_job(point: tuple[int, int]) -> list[TrialRecord]:
+def _shared_measurement(cfg: TrialConfig) -> np.ndarray:
+    """The trial's M, read-only, reused while consecutive jobs share it.
+
+    Jobs run mode innermost, so the jobs of both geometries at one (m, trial)
+    draw M once; a miss rebuilds it from its seeds.
+    """
+    global _LAST_M
+    key = (cfg.base_seed, cfg.d, cfg.m, cfg.trial_index)
+    if _LAST_M is None or _LAST_M[0] != key:
+        M = _measurement_matrix(cfg)
+        M.flags.writeable = False
+        _LAST_M = (key, M)
+    return _LAST_M[1]
+
+
+def _pool_job(job: tuple[int, int, str]) -> list[TrialRecord]:
+    """Every variant on one (m, trial, mode) point's inputs, which are read-only
+    so that no variant can change what the next one sees."""
     assert _WORKER_ENV is not None
     settings, variants, base_seed = _WORKER_ENV
-    m, trial = point
-    configs = _point_configs(settings, variants, m, trial, base_seed)
-    D, M, x, y = _trial_inputs(configs[0])
+    m, trial, mode = job
+    configs = _point_configs(settings, variants, m, trial, base_seed, mode)
+    D, M, x, y = _trial_inputs(configs[0], _shared_measurement(configs[0]))
+    x.flags.writeable = y.flags.writeable = False
     return [_execute_variant(cfg, D, M, x, y) for cfg in configs]
 
 
@@ -408,17 +447,21 @@ def run_sweep(
     base_seed: int,
     threads: int = 1,
     progress=None,
+    modes: tuple[str, ...] | list[str] | None = None,
 ) -> list[RecoveryCurve]:
-    """Paired-trial sweep over the m grid; one curve per variant.
+    """Paired-trial sweep over the m grid; one curve per (mode, variant).
 
-    Every (m, trial) point is a pool job that runs all variants on identical
-    inputs. Jobs always execute in spawned worker processes (threads = 1 uses
-    a single-worker pool) with single-threaded BLAS and are aggregated in
-    fixed (variant, m, trial) order, so the output never depends on the
-    degree of parallelism.
+    modes defaults to (settings.mode,). Every (m, trial, mode) point is a pool
+    job that runs all variants on identical inputs, and all jobs of the sweep
+    share one pool. Jobs always execute in spawned worker processes
+    (threads = 1 uses a single-worker pool) with single-threaded BLAS and are
+    aggregated in fixed (mode, variant, m, trial) order, so the output never
+    depends on the degree of parallelism. Curves come back mode-major; each
+    records its mode. progress(done, total) is called once per job.
     """
     variants = tuple(variants)
     m_grid = tuple(int(m) for m in m_grid)
+    modes = (settings.mode,) if modes is None else tuple(modes)
     if not variants:
         raise ValueError("variants must be nonempty")
     if not m_grid:
@@ -427,53 +470,70 @@ def run_sweep(
         raise ValueError("m grid must be strictly increasing")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not modes:
+        raise ValueError("modes must be nonempty")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate signal mode in {modes!r}")
     seen = set()
     for v in variants:
         if v.label in seen:
             raise ValueError(f"duplicate variant label {v.label!r}")
         seen.add(v.label)
-    for m in m_grid:
-        _point_configs(settings, variants, m, 0, base_seed)  # validates k <= m <= d
-    points = [(m, trial) for m in m_grid for trial in range(trials)]
-    workers = resolve_threads(threads)
-    chunk = max(1, len(points) // (workers * 8) or 1)
-    by_point: dict[tuple[int, int], list[TrialRecord]] = {}
-    with _worker_pool(workers, (settings, variants, base_seed)) as pool:
-        for done, (point, records) in enumerate(
-            zip(points, pool.map(_pool_job, points, chunksize=chunk)), start=1
-        ):
-            by_point[point] = records
-            if progress is not None:
-                progress(done, len(points))
-    curves = []
-    for vi, variant in enumerate(variants):
-        successes, rates, mres, mits = [], [], [], []
+    for mode in modes:
         for m in m_grid:
-            recs = [by_point[(m, t)][vi] for t in range(trials)]
-            wins = sum(1 for r in recs if r.success)
-            successes.append(wins)
-            rates.append(wins / trials)
-            mres.append(sum(r.relative_error for r in recs) / trials)
-            mits.append(sum(r.iterations for r in recs) / trials)
-        alarms = tuple(
-            (m_grid[i], m_grid[i + 1])
-            for i in range(len(m_grid) - 1)
-            if rates[i] - rates[i + 1] > RATE_DROP_ALARM
-        )
-        curves.append(
-            RecoveryCurve(
-                label=variant.label,
-                base_seed=base_seed,
-                m_values=m_grid,
-                trials=trials,
-                successes=tuple(successes),
-                rates=tuple(rates),
-                mean_rel_errors=tuple(mres),
-                mean_iters=tuple(mits),
-                alarms=alarms,
-            )
-        )
-    return curves
+            _point_configs(settings, variants, m, 0, base_seed, mode)  # validates mode, k <= m <= d
+    jobs = [(m, trial, mode) for m in m_grid for trial in range(trials) for mode in modes]
+    workers = resolve_threads(threads)
+    # The chunk size counts the jobs of one mode, not of the whole sweep. A
+    # chunk's results arrive together, so a larger chunk bunches the progress
+    # calls: near-zero gaps, then one long one. Those gaps are what times one
+    # job (the fig2 benchmark's op latency), and its chunk stays 1.
+    chunk = max(1, len(jobs) // len(modes) // (workers * 8))
+    by_job: dict[tuple[int, int, str], list[TrialRecord]] = {}
+    with _worker_pool(workers, (settings, variants, base_seed)) as pool:
+        for done, (job, records) in enumerate(
+            zip(jobs, pool.map(_pool_job, jobs, chunksize=chunk)), start=1
+        ):
+            by_job[job] = records
+            if progress is not None:
+                progress(done, len(jobs))
+    return [
+        _curve(variant.label, mode, base_seed, m_grid, trials,
+               [[by_job[(m, t, mode)][vi] for t in range(trials)] for m in m_grid])
+        for mode in modes
+        for vi, variant in enumerate(variants)
+    ]
+
+
+def _curve(
+    label: str, mode: str, base_seed: int, m_grid: tuple[int, ...], trials: int,
+    records: list[list[TrialRecord]],
+) -> RecoveryCurve:
+    """One variant's curve from its records, one list of trials per m."""
+    successes, rates, mres, mits = [], [], [], []
+    for recs in records:
+        wins = sum(1 for r in recs if r.success)
+        successes.append(wins)
+        rates.append(wins / trials)
+        mres.append(sum(r.relative_error for r in recs) / trials)
+        mits.append(sum(r.iterations for r in recs) / trials)
+    alarms = tuple(
+        (m_grid[i], m_grid[i + 1])
+        for i in range(len(m_grid) - 1)
+        if rates[i] - rates[i + 1] > RATE_DROP_ALARM
+    )
+    return RecoveryCurve(
+        label=label,
+        base_seed=base_seed,
+        m_values=m_grid,
+        trials=trials,
+        successes=tuple(successes),
+        rates=tuple(rates),
+        mean_rel_errors=tuple(mres),
+        mean_iters=tuple(mits),
+        alarms=alarms,
+        mode=mode,
+    )
 
 
 def _fmt(value: float) -> str:

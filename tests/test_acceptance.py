@@ -199,11 +199,11 @@ def test_criterion_07_figure2_ordinal():
         VariantSpec("sscosamp-eps-omp", "sscosamp", "eps-omp", eps=eps),
     )
     m_grid = (64, 96, 128, 160, 192, 224)
-    rates = {}
-    for mode in ("clustered", "separated"):
-        settings = SweepSettings(d=256, redundancy=4, k=8, mode=mode)
-        curves = run_sweep(settings, variants, m_grid, trials=50, base_seed=7, threads=1)
-        rates[mode] = {c.label: c.rates for c in curves}
+    rates = {"clustered": {}, "separated": {}}
+    settings = SweepSettings(d=256, redundancy=4, k=8, mode="clustered")
+    for c in run_sweep(settings, variants, m_grid, trials=50, base_seed=7, threads=1,
+                       modes=("clustered", "separated")):
+        rates[c.mode][c.label] = c.rates
 
     # clustered geometry: the extension variant must dominate at large m
     omp_c = rates["clustered"]["sscosamp-omp"]

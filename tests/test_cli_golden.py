@@ -288,6 +288,9 @@ CASES = [
     case("sweep-modes-string", "sweep",
          with_keys(SWEEP, mode=None, modes="clustered"),
          1, 'config error: sweep.modes: expected a nonempty array of signal modes\n'),
+    case("sweep-modes-repeated", "sweep",
+         with_keys(SWEEP, mode=None, modes=["separated", "separated"]),
+         1, 'config error: sweep.modes: lists a signal mode twice\n'),
     case("sweep-mode-choice", "sweep", with_keys(SWEEP, mode="random"),
          1, "config error: sweep.mode: must be one of ['clustered', 'separated']\n"),
     case("sweep-noise-negative", "sweep", with_keys(SWEEP, noise_level=-1),
