@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +56,10 @@ class Dictionary:
     marks its instance, and load_dictionary marks a container whose payload
     equals it bit for bit. Any other matrix, whatever its kind tag, takes the
     dense products.
+
+    The Gram columns D^H d_i that the greedy schemes read on dense
+    dictionaries are cached for the d most recently used atoms, so the cache
+    never holds more entries than the matrix itself.
     """
 
     matrix: np.ndarray
@@ -63,6 +68,7 @@ class Dictionary:
     unit_norm: bool = False
     _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _support_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _gram_cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
     _fft: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -103,6 +109,20 @@ class Dictionary:
         if r.shape != (self.d,):
             raise ValueError("signal length must match the dictionary dimension")
         return np.fft.fft(r, self.n) / math.sqrt(self.d)
+
+    def gram_column(self, i: int) -> np.ndarray:
+        """D^H d_i, read-only, from a cache of the d most recently used atoms."""
+        cache = self._gram_cache
+        g = cache.get(i)
+        if g is not None:
+            cache.move_to_end(i)
+            return g
+        g = self.analysis(self.matrix[:, i])
+        g.flags.writeable = False
+        cache[i] = g
+        if len(cache) > self.d:
+            cache.popitem(last=False)
+        return g
 
     def measured(self, M: np.ndarray) -> np.ndarray:
         """M D: the measured atoms, one column per atom.

@@ -8,9 +8,12 @@ to zeta*k atoms, where zeta is the size of the largest group of mutually
 correlated atoms: they exclude already-covered atoms during selection and
 return the correlation closure of what they picked.
 
-Determinism: every argmax breaks ties toward the lowest index, and all
-randomness is injected through explicit seeds, so identical inputs always give
-identical supports.
+Determinism: every argmax breaks ties in the computed correlations toward the
+lowest index, and all randomness is injected through explicit seeds, so
+identical inputs always give identical supports. A tie that is exact only in
+exact arithmetic is decided by rounding, not by the index: for a real signal
+and the overcomplete DFT, the mirrored atoms j and n - j correlate equally
+with it, and which of them is picked depends on the rounding of D^H z.
 """
 
 from __future__ import annotations
@@ -124,40 +127,63 @@ class _Residual:
     per added column (the Batch-OMP re-fit), so adding a column costs O(d j)
     for a basis of j vectors instead of an SVD of every column added so far.
     The basis is stored row by row: row j is q_j.
+
+    Given c = A^H z, it also tracks c = A^H r without a product with A: it
+    keeps the row A^H q_j of every basis vector, built from the Gram column
+    A^H a of the added column (the Gram form of Batch-OMP), so each added
+    column costs O(n j) more and callers need not recompute A^H r.
     """
 
-    def __init__(self, z: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
+    def __init__(
+        self,
+        z: np.ndarray,
+        dtype: np.dtype,
+        capacity: int,
+        rcond: float,
+        c: np.ndarray | None = None,
+    ) -> None:
         self.r = z.astype(dtype, copy=True)
         self._rows = np.empty((capacity, z.shape[0]), dtype=dtype)
         self._rcond = rcond
         self.rank = 0
+        self.c = None if c is None else c.astype(dtype, copy=True)
+        self._crows = None if c is None else np.empty((capacity, c.shape[0]), dtype=dtype)
 
     @property
     def basis(self) -> np.ndarray:
         """The orthonormal basis, one vector per column."""
         return self._rows[: self.rank].T
 
-    def add(self, a: np.ndarray) -> None:
-        """Add the column a to the span and update r.
+    def add(self, a: np.ndarray, g: np.ndarray | None = None) -> None:
+        """Add the column a to the span and update r (and c, from g = A^H a).
 
         a is orthogonalized against the basis with two classical Gram-Schmidt
         passes. When what is left has norm at most rcond * ||a||, a already
         lies in the span (to the package rank cutoff) and adds no vector, so
-        duplicated atoms collapse to one direction.
+        duplicated atoms collapse to one direction. Both passes together
+        subtract h @ rows, h the sum of their coefficients, so
+        A^H q = (g - h @ A^H rows) / norm.
         """
         if self.rank == self._rows.shape[0]:
             return
         rows = self._rows[: self.rank]
         q = a.astype(self.r.dtype, copy=True)
+        h = []  # the coefficients of both passes
         for _ in range(2):
-            q -= (rows @ q.conj()).conj() @ rows
+            h.append((rows @ q.conj()).conj())
+            q -= h[-1] @ rows
         norm = float(np.linalg.norm(q))
         if norm <= self._rcond * float(np.linalg.norm(a)):
             return
         q /= norm
         self._rows[self.rank] = q
+        step = np.vdot(q, self.r)
+        self.r -= q * step
+        if self.c is not None:
+            crow = self._crows[self.rank]
+            crow[...] = (g - (h[0] + h[1]) @ self._crows[: self.rank]) / norm
+            self.c -= crow * step
         self.rank += 1
-        self.r -= q * np.vdot(q, self.r)
 
 
 def _greedy(
@@ -167,6 +193,7 @@ def _greedy(
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
     analysis: Callable[[np.ndarray], np.ndarray] | None = None,
+    gram: Callable[[int], np.ndarray] | None = None,
 ) -> tuple[SupportSet, SupportSet]:
     """The greedy pursuit behind OMP, eps-OMP and eps-thresholding.
 
@@ -178,21 +205,27 @@ def _greedy(
     they stay those of z. Stops early once every column is excluded. Returns
     the picks and the final exclusion mask (the closure), both as supports.
     analysis(r) computes A^H r: a dictionary's own operator, the dense product
-    when not given.
+    when not given. gram(i), the Gram column A^H a_i, makes the re-fit update
+    A^H r from the picks' Gram columns; analysis then runs once, on z.
     """
     analysis = analysis or partial(_adjoint_apply, A)
     d, n = A.shape
-    corr = np.abs(analysis(z))
+    c = analysis(z)
+    corr = np.abs(c)
     excluded = np.zeros(n, dtype=bool)
     picks: list[int] = []
-    # only the picks before the last are re-fitted, and at most d directions exist
-    fit = _Residual(z, np.result_type(A, z), min(k - 1, d), rank_rcond(A.shape)) if refit else None
+    fit = None
+    if refit:
+        # only the picks before the last are re-fitted, and at most d directions exist
+        fit = _Residual(
+            z, np.result_type(A, z), min(k - 1, d), rank_rcond(A.shape), c if gram else None
+        )
     for _ in range(k):
         if excluded.all():
             break
         if fit is not None and picks:
-            fit.add(A[:, picks[-1]])
-            corr = np.abs(analysis(fit.r))
+            fit.add(A[:, picks[-1]], gram(picks[-1]) if gram else None)
+            corr = np.abs(fit.c if gram else analysis(fit.r))
         corr[excluded] = -1.0
         i = int(np.argmax(corr))
         picks.append(i)
@@ -200,11 +233,17 @@ def _greedy(
     return SupportSet.from_iterable(picks, n), SupportSet.from_iterable(np.flatnonzero(excluded), n)
 
 
+def _gram(D: Dictionary) -> Callable[[int], np.ndarray] | None:
+    """D's cached Gram columns for a dense D; None for the overcomplete DFT,
+    whose one FFT per pick costs less than updating from Gram columns."""
+    return None if D._fft else D.gram_column
+
+
 def omp_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     """Orthogonal matching pursuit: k greedy picks with full re-fit each round."""
     if not 1 <= k <= min(D.d, D.n):
         raise ValueError("omp requires 1 <= k <= min(d, n)")
-    return _greedy(D.matrix, z, k, analysis=D.analysis)[0]
+    return _greedy(D.matrix, z, k, analysis=D.analysis, gram=_gram(D))[0]
 
 
 def eps_extend(D: Dictionary, T: SupportSet, eps: float) -> SupportSet:
@@ -222,7 +261,7 @@ def eps_omp_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportS
     answer is the closure itself (at most zeta*k atoms)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy(D.matrix, z, k, D.neighbor_table(eps), analysis=D.analysis)[1]
+    return _greedy(D.matrix, z, k, D.neighbor_table(eps), analysis=D.analysis, gram=_gram(D))[1]
 
 
 def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportSet:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionaries import Dictionary
-from .linalg import SupportSet, ls_synthesize, project
+from .linalg import SupportSet, _adjoint_apply, ls_synthesize, project
 from .projections import _EPS_KINDS, SelectionScheme, _greedy, select
 
 STOP_RESIDUAL = "residual"
@@ -191,7 +191,7 @@ def sscosamp(
         stop_reason = STOP_RESIDUAL
     else:
         for it in range(1, halting.max_iters + 1):
-            proxy = M.conj().T @ residual
+            proxy = _adjoint_apply(M, residual)
             expand = select(config.scheme_expand, D, proxy)
             merged = support.union(expand)
             x_fit = ls_synthesize(M, D.matrix, merged, y)

@@ -5,15 +5,23 @@ grows by one vector per added column. After every added column its residual
 must equal ``z - project(A, picks, z)``, its basis must stay orthonormal, and
 a column already in the span (a duplicated atom, any column past the rank of
 a rank-deficient dictionary, a zero column) must add no basis vector and no
-NaN.
+NaN. Given Gram columns, the correlations it tracks must equal A^H r.
+
+Dense dictionaries feed the greedy core their cached Gram columns
+(``Dictionary.gram_column``); the overcomplete DFT, the measured atoms of
+``eps_omp_recover`` and eps-thresholding do not.
 """
 
 import numpy as np
 import pytest
 
 from sigspace import (
+    Dictionary,
     SupportSet,
+    eps_omp_recover,
+    eps_omp_select,
     eps_threshold_select,
+    omp_select,
     orthonormal_range,
     overcomplete_dft,
     project,
@@ -43,6 +51,12 @@ def _duplicated(seed):
     return A
 
 
+def _zero_atoms(seed):
+    A = _unit_columns(rng_from(seed).standard_normal((10, 14)))
+    A[:, [2, 9]] = 0.0
+    return A
+
+
 def _rank_deficient(seed):
     rng = rng_from(seed)
     return _unit_columns(rng.standard_normal((10, 4)) @ rng.standard_normal((4, 20)))
@@ -54,6 +68,7 @@ MATRICES = {
     "dft4": lambda: overcomplete_dft(16, 4).matrix,
     "duplicated": lambda: _duplicated(403),
     "rank4": lambda: _rank_deficient(404),
+    "zero": lambda: _zero_atoms(412),
 }
 
 
@@ -67,27 +82,82 @@ def _pick_order(A, seed):
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
-@pytest.mark.parametrize("complex_signal", (False, True))
-def test_residual_tracks_the_dense_projection(name, complex_signal):
+@pytest.mark.parametrize(
+    "complex_signal, gram",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["False", "True", "False-gram", "True-gram"],
+)
+def test_residual_tracks_the_dense_projection(name, complex_signal, gram):
     A = MATRICES[name]()
     rng = rng_from(405)
     z = _noise(rng, A.shape[0], complex_signal)
     picks = _pick_order(A, 406)
+    if name == "zero":
+        assert {2, 9} & set(picks)
     dtype = np.result_type(A, z)
-    fit = projections._Residual(z, dtype, len(picks), rank_rcond(A.shape))
+    AH = A.conj().T
+    if gram:
+        fit = projections._Residual(z, dtype, len(picks), rank_rcond(A.shape), AH @ z)
+    else:
+        fit = projections._Residual(z, dtype, len(picks), rank_rcond(A.shape))
+        assert fit.c is None
     z_norm = np.linalg.norm(z)
+    c_tol = TOL * max(z_norm, 1.0) * np.linalg.norm(A, axis=0).max()
     for j, i in enumerate(picks, start=1):
         before = fit.rank
-        fit.add(A[:, i])
+        fit.add(A[:, i], AH @ A[:, i] if gram else None)
         T = SupportSet.from_iterable(picks[:j], A.shape[1])
         assert np.isfinite(fit.r).all()
         assert np.linalg.norm(fit.r - (z - project(A, T, z))) <= TOL * z_norm
+        if gram:
+            assert np.isfinite(fit.c).all()
+            assert np.linalg.norm(fit.c - AH @ fit.r) <= c_tol
         Q = fit.basis
         assert Q.shape == (A.shape[0], fit.rank)
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(fit.rank), 2) <= TOL
         rank = orthonormal_range(A[:, T.as_array()]).shape[1]
         assert fit.rank == rank
         assert fit.rank - before in (0, 1)
+
+
+def test_gram_column_is_the_analysis_of_the_atom():
+    for A in (MATRICES["real"](), MATRICES["complex"]()):
+        D = Dictionary(A)
+        for i in (0, 7, 7, D.n - 1):
+            g = D.gram_column(i)
+            assert g.tobytes() == D.analysis(D.matrix[:, i]).tobytes()
+            assert not g.flags.writeable
+
+
+def test_gram_cache_keeps_at_most_d_recent_columns():
+    D = Dictionary(MATRICES["real"]())
+    rng = rng_from(413)
+    touched = set()
+    for _ in range(20):
+        z = rng.standard_normal(D.d)
+        omp_select(D, z, 4)
+        eps_omp_select(D, z, 4, 0.3)
+        assert len(D._gram_cache) <= D.d
+        touched |= set(D._gram_cache)
+    assert len(touched) > D.d
+    last = omp_select(D, rng.standard_normal(D.d), 3)
+    assert len(set(D._gram_cache) & set(last)) >= 2
+    for i, g in D._gram_cache.items():
+        assert g.tobytes() == D.analysis(D.matrix[:, i]).tobytes()
+
+
+def test_paths_without_gram_columns_leave_the_cache_empty():
+    z = rng_from(414).standard_normal(16)
+    D = overcomplete_dft(16, 4)
+    omp_select(D, z, 5)
+    eps_omp_select(D, z, 5, 0.3)
+    assert len(D._gram_cache) == 0
+    D = Dictionary(MATRICES["real"]())
+    z = z[: D.d]
+    eps_threshold_select(D, z, 5, 0.3)
+    M = rng_from(415).standard_normal((8, D.d))
+    eps_omp_recover(M @ z, M, D, 3, 0.3)
+    assert len(D._gram_cache) == 0
 
 
 def test_dependent_columns_add_no_vector():
