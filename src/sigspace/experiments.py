@@ -18,6 +18,7 @@ supports keep every circular pairwise gap at least floor(n / 2k).
 from __future__ import annotations
 
 import hashlib
+import html
 import json
 import math
 import os
@@ -27,7 +28,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -592,6 +592,11 @@ def read_curves_csv(path: str | Path) -> list[dict]:
     return rows
 
 
+def _escape(text: str) -> str:
+    """Text for an SVG text node: &, < and > become entities, quotes stay."""
+    return html.escape(text, quote=False)
+
+
 def _x_positions(xs, log_x: bool, x0: float, x1: float, left: float, width: float):
     span = (x1 - x0) or 1.0
     out = []
@@ -638,7 +643,7 @@ def svg_line_chart(
     if title:
         out.append(
             f'<text x="{width / 2:.1f}" y="26" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="17">{escape(title)}</text>'
+            f'font-family="sans-serif" font-size="17">{_escape(title)}</text>'
         )
     for j in range(6):
         v = j / 5.0
@@ -667,7 +672,7 @@ def svg_line_chart(
         label = f"{t:g}"
         out.append(
             f'<text x="{tx:.1f}" y="{top + plot_h + 20:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{escape(label)}</text>'
+            f'font-family="sans-serif" font-size="12">{_escape(label)}</text>'
         )
     out.append(
         f'<line x1="{left:.1f}" y1="{top:.1f}" x2="{left:.1f}" y2="{top + plot_h:.1f}" '
@@ -679,12 +684,12 @@ def svg_line_chart(
     )
     out.append(
         f'<text x="{left + plot_w / 2:.1f}" y="{height - 14:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(x_label)}</text>'
+        f'font-family="sans-serif" font-size="14">{_escape(x_label)}</text>'
     )
     out.append(
         f'<text x="20" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {top + plot_h / 2:.1f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 20 {top + plot_h / 2:.1f})">{_escape(y_label)}</text>'
     )
     for si, (label, xs, ys) in enumerate(series):
         color = _PALETTE[si % len(_PALETTE)]
@@ -707,7 +712,7 @@ def svg_line_chart(
         )
         out.append(
             f'<text x="{lx + 32:.1f}" y="{ly:.1f}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, combinations
 from typing import Callable
 
@@ -143,6 +142,7 @@ class _Residual:
         c: np.ndarray | None = None,
     ) -> None:
         self.r = z.astype(dtype, copy=True)
+        self._complex = self.r.dtype.kind == "c"
         self._rows = np.empty((capacity, z.shape[0]), dtype=dtype)
         self._rcond = rcond
         self.rank = 0
@@ -164,86 +164,115 @@ class _Residual:
         subtract h @ rows, h the sum of their coefficients, so
         A^H q = (g - h @ A^H rows) / norm.
         """
-        if self.rank == self._rows.shape[0]:
+        rank = self.rank
+        if rank == self._rows.shape[0]:
             return
-        rows = self._rows[: self.rank]
         q = a.astype(self.r.dtype, copy=True)
-        h = []  # the coefficients of both passes
-        for _ in range(2):
-            h.append((rows @ q.conj()).conj())
-            q -= h[-1] @ rows
-        norm = float(np.linalg.norm(q))
-        if norm <= self._rcond * float(np.linalg.norm(a)):
+        if rank:
+            rows = self._rows[:rank]
+            h = []  # the coefficients of both passes
+            for _ in range(2):
+                h.append((rows @ q.conj()).conj() if self._complex else rows @ q)
+                q -= h[-1] @ rows
+        norm = _norm(q)
+        if norm <= self._rcond * _norm(a):
             return
         q /= norm
-        self._rows[self.rank] = q
+        self._rows[rank] = q
         step = np.vdot(q, self.r)
         self.r -= q * step
         if self.c is not None:
-            crow = self._crows[self.rank]
-            crow[...] = (g - (h[0] + h[1]) @ self._crows[: self.rank]) / norm
+            crow = self._crows[rank]
+            crow[...] = g
+            if rank:
+                crow -= (h[0] + h[1]) @ self._crows[:rank]
+            crow /= norm
             self.c -= crow * step
         self.rank += 1
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a vector, bit for bit: the expression it evaluates,
+    without the cost of its argument handling."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
 def _greedy(
-    A: np.ndarray,
+    shape: tuple[int, int],
+    column: Callable[[int], np.ndarray],
+    analysis: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
     k: int,
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
-    analysis: Callable[[np.ndarray], np.ndarray] | None = None,
     gram: Callable[[int], np.ndarray] | None = None,
 ) -> tuple[SupportSet, SupportSet]:
-    """The greedy pursuit behind OMP, eps-OMP and eps-thresholding.
+    """The greedy pursuit behind OMP, eps-OMP, eps-thresholding and eps_omp_recover.
 
-    Each of at most k rounds picks the column of A with the largest |a_i^* r|
-    outside the exclusion mask (ties to the lowest index) and excludes
-    table[i], or only i without a table. With refit the correlations are
-    recomputed against r = z - P_picks z before the next round, r being
+    The pursuit runs over the columns of a matrix A of the given shape that is
+    never indexed as a whole: column(i) returns a_i, and analysis(r) computes
+    A^H r. Each of at most k rounds picks the column with the largest
+    |a_i^* r| outside the exclusion mask (ties to the lowest index) and
+    excludes table[i], or only i without a table. With refit the correlations
+    are recomputed against r = z - P_picks z before the next round, r being
     updated one orthonormal direction per pick (see _Residual); without it
     they stay those of z. Stops early once every column is excluded. Returns
     the picks and the final exclusion mask (the closure), both as supports.
-    analysis(r) computes A^H r: a dictionary's own operator, the dense product
-    when not given. gram(i), the Gram column A^H a_i, makes the re-fit update
-    A^H r from the picks' Gram columns; analysis then runs once, on z.
+    gram(i), the Gram column A^H a_i, makes the re-fit update A^H r from the
+    picks' Gram columns; analysis then runs once, on z.
     """
-    analysis = analysis or partial(_adjoint_apply, A)
-    d, n = A.shape
+    d, n = shape
     c = analysis(z)
     corr = np.abs(c)
     excluded = np.zeros(n, dtype=bool)
+    left = n  # columns not excluded yet
     picks: list[int] = []
     fit = None
     if refit:
         # only the picks before the last are re-fitted, and at most d directions exist
-        fit = _Residual(
-            z, np.result_type(A, z), min(k - 1, d), rank_rcond(A.shape), c if gram else None
-        )
+        dtype = np.result_type(c, z)
+        fit = _Residual(z, dtype, min(k - 1, d), rank_rcond(shape), c if gram else None)
     for _ in range(k):
-        if excluded.all():
+        if not left:
             break
         if fit is not None and picks:
-            fit.add(A[:, picks[-1]], gram(picks[-1]) if gram else None)
-            corr = np.abs(fit.c if gram else analysis(fit.r))
+            fit.add(column(picks[-1]), gram(picks[-1]) if gram else None)
+            np.abs(fit.c if gram else analysis(fit.r), out=corr)
         corr[excluded] = -1.0
         i = int(np.argmax(corr))
         picks.append(i)
-        excluded[i if table is None else table[i]] = True
+        if table is None:
+            left -= 1
+            excluded[i] = True
+        else:
+            left -= table[i].size - int(np.count_nonzero(excluded[table[i]]))
+            excluded[table[i]] = True
     return SupportSet.from_iterable(picks, n), SupportSet.from_iterable(np.flatnonzero(excluded), n)
 
 
-def _gram(D: Dictionary) -> Callable[[int], np.ndarray] | None:
-    """D's cached Gram columns for a dense D; None for the overcomplete DFT,
-    whose one FFT per pick costs less than updating from Gram columns."""
-    return None if D._fft else D.gram_column
+def _greedy_over_atoms(
+    D: Dictionary,
+    z: np.ndarray,
+    k: int,
+    table: tuple[np.ndarray, ...] | None = None,
+    refit: bool = True,
+) -> tuple[SupportSet, SupportSet]:
+    """_greedy over D's own atoms. A dense D lends its cached Gram columns;
+    the overcomplete DFT does not, as its one FFT per pick costs less than
+    updating from Gram columns."""
+    gram = None if D._fft else D.gram_column
+    return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram)
 
 
 def omp_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     """Orthogonal matching pursuit: k greedy picks with full re-fit each round."""
     if not 1 <= k <= min(D.d, D.n):
         raise ValueError("omp requires 1 <= k <= min(d, n)")
-    return _greedy(D.matrix, z, k, analysis=D.analysis, gram=_gram(D))[0]
+    return _greedy_over_atoms(D, z, k)[0]
 
 
 def eps_extend(D: Dictionary, T: SupportSet, eps: float) -> SupportSet:
@@ -261,7 +290,7 @@ def eps_omp_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportS
     answer is the closure itself (at most zeta*k atoms)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy(D.matrix, z, k, D.neighbor_table(eps), analysis=D.analysis, gram=_gram(D))[1]
+    return _greedy_over_atoms(D, z, k, D.neighbor_table(eps))[1]
 
 
 def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportSet:
@@ -269,7 +298,7 @@ def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> Su
     each round takes the best atom outside the current closure."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy(D.matrix, z, k, D.neighbor_table(eps), refit=False, analysis=D.analysis)[1]
+    return _greedy_over_atoms(D, z, k, D.neighbor_table(eps), refit=False)[1]
 
 
 def _sparse_support(values: np.ndarray) -> SupportSet:

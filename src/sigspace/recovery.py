@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
@@ -173,6 +174,14 @@ def sscosamp(
     Returns the projected estimate, its support, and a per-iteration trace.
     Stop reasons: "residual" (relative residual under the floor), "stagnation"
     (relative residual drop over a short window under the floor), "max_iters".
+
+    What an iteration computes after its expand step (the fit, the shrunk
+    support, the estimate and its residual) depends only on the merged
+    support. So once an expand step yields a merged support that an earlier
+    iteration of the same call already fitted, every later iteration repeats
+    one of the recorded ones, in a cycle of period one or more. The loop then
+    replays the recorded iterations through the same halting checks, with the
+    same trace entries, instead of computing them again.
     """
     y, M = _checked_measurements(y, M, D)
     start = time.perf_counter()
@@ -187,22 +196,34 @@ def sscosamp(
     trace: list[TraceEntry] = []
     stop_reason = STOP_MAX_ITERS
     iterations = 0
+    fitted: list[tuple] = []  # (support, x, residual, res_norm, merged size, error) per fit
+    position: dict[tuple[int, ...], int] = {}  # merged support -> its entry in fitted
+    replay = None  # the recorded cycle, once the run has entered one
     if res_norm <= halting.residual_tol * max(y_norm, 1.0):
         stop_reason = STOP_RESIDUAL
     else:
         for it in range(1, halting.max_iters + 1):
-            proxy = _adjoint_apply(M, residual)
-            expand = select(config.scheme_expand, D, proxy)
-            merged = support.union(expand)
-            x_fit = ls_synthesize(M, D.matrix, merged, y)
-            support = select(config.scheme_shrink, D, x_fit)
-            x = project(D.matrix, support, x_fit)
-            residual = y - M @ x
-            res_norm = float(np.linalg.norm(residual))
+            if replay is None:
+                proxy = _adjoint_apply(M, residual)
+                expand = select(config.scheme_expand, D, proxy)
+                merged = support.union(expand)
+                seen = position.get(merged.indices)
+                if seen is None:
+                    x_fit = ls_synthesize(M, D.matrix, merged, y)
+                    support = select(config.scheme_shrink, D, x_fit)
+                    x = project(D.matrix, support, x_fit)
+                    residual = y - M @ x
+                    res_norm = float(np.linalg.norm(residual))
+                    err = float(np.linalg.norm(x - x_true)) if x_true is not None else None
+                    position[merged.indices] = len(fitted)
+                    fitted.append((support, x, residual, res_norm, len(merged), err))
+                else:
+                    replay = cycle(fitted[seen:])
+            step = next(replay) if replay is not None else fitted[-1]
+            support, x, residual, res_norm, merged_size, err = step
             history.append(res_norm)
             iterations = it
-            err = float(np.linalg.norm(x - x_true)) if x_true is not None else None
-            trace.append(TraceEntry(it, len(support), len(merged), res_norm, err))
+            trace.append(TraceEntry(it, len(support), merged_size, res_norm, err))
             if res_norm <= halting.residual_tol * max(y_norm, 1.0):
                 stop_reason = STOP_RESIDUAL
                 break
@@ -228,17 +249,26 @@ def eps_omp_recover(
     k: int,
     eps: float,
 ) -> tuple[np.ndarray, SupportSet]:
-    """One-shot eps-OMP on the measured atoms.
+    """One-shot eps-OMP on the measured atoms M d_i.
 
-    Selection correlates the residual against the columns of M D (built by
-    D.measured, so by FFT for the overcomplete DFT), exclusion uses the
-    dictionary's own correlation closure, and the final estimate is a min-norm
-    fit of y over the measured atoms of the closure.
+    Selection correlates the residual r against the measured atoms as
+    D^H (M^H r), through D.analysis (so by FFT for the overcomplete DFT), and
+    forms the measured atom M d_i of each pick only when the re-fit needs it:
+    the m x n product M D is never built. Exclusion uses the dictionary's own
+    correlation closure, and the final estimate is a min-norm fit of y over
+    the measured atoms of the closure.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     y, M = _checked_measurements(y, M, D)
-    support = _greedy(D.measured(M), y, k, D.neighbor_table(eps))[1]
+    support = _greedy(
+        (M.shape[0], D.n),
+        lambda i: M @ D.matrix[:, i],
+        lambda r: D.analysis(_adjoint_apply(M, r)),
+        y,
+        k,
+        D.neighbor_table(eps),
+    )[1]
     x = ls_synthesize(M, D.matrix, support, y)
     return x, support
 

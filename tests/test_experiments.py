@@ -1,5 +1,9 @@
 """Trial orchestration, sweep aggregation, and CSV/SVG emission."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from sigspace import (
     svg_line_chart,
     write_curves_csv,
 )
+from sigspace import experiments
 from sigspace.dictionaries import SALT_SIGNAL
 from sigspace.experiments import _separated_support
 
@@ -296,6 +301,29 @@ class TestSvgChart:
         text = path.read_text(encoding="utf-8")
         assert "a&amp;b&lt;c&gt;" in text
         assert "a&b<c>" not in text
+
+    def test_escaping_matches_the_xml_escape(self, tmp_path, monkeypatch):
+        from xml.sax.saxutils import escape
+
+        text = """a&b <c> "d" 'e' &amp;"""
+        series = [(text, [1.0, 2.0], [0.1, 0.9]), ("plain", [1.0, 2.0], [0.2, 0.3])]
+        labels = dict(title=text, x_label=text + "x", y_label="y" + text)
+        got = svg_line_chart(series, tmp_path / "got.svg", **labels).read_bytes()
+        monkeypatch.setattr(experiments, "_escape", escape)
+        expected = svg_line_chart(series, tmp_path / "expected.svg", **labels).read_bytes()
+        assert got == expected
+        assert b"a&amp;b &lt;c&gt; \"d\" 'e' &amp;amp;" in got
+
+    def test_package_import_leaves_xml_sax_out(self):
+        code = (
+            "import sys, sigspace.cli; "
+            "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_log_axis_accepted(self, tmp_path):
         path = tmp_path / "log.svg"
