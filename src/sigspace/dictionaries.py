@@ -5,7 +5,8 @@ Randomness contract: every generator in the package is a PCG64 seeded through a
 ``[base_seed, salt, index...]``. Gaussian measurement matrices draw each column
 from ``SeedSequence(...).spawn(j)`` children, so any subset of columns can be
 produced independently and the matrix content never depends on how the work is
-scheduled.
+scheduled. Every Gaussian vector is a standard normal draw of its length; a
+complex one takes the real parts first, then the imaginary parts.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _adjoint_apply
+from .linalg import _adjoint_apply, _require_finite
 
 # Salts for derived seed streams. Fixed for the life of the file format.
 SALT_SIGNAL = 1
@@ -39,6 +40,19 @@ def seed_sequence(*parts: int) -> np.random.SeedSequence:
 
 def rng_from(*parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_sequence(*parts)))
+
+
+def _as_seed_sequence(seed: int | np.random.SeedSequence, salt: int) -> np.random.SeedSequence:
+    """seed itself, or the int seed's stream seed_sequence(seed, salt)."""
+    return seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed, salt)
+
+
+def _gaussian(rng: np.random.Generator, size: int, complex_field: bool) -> np.ndarray:
+    """A standard normal vector: standard_normal(size), or for a complex field
+    the real parts drawn first, then the imaginary parts."""
+    if not complex_field:
+        return rng.standard_normal(size)
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 @dataclass(eq=False)
@@ -190,6 +204,7 @@ class MeasurementModel:
         self.matrix = np.asarray(self.matrix)
         if self.matrix.ndim != 2:
             raise ValueError("measurement matrix must be 2-D")
+        _require_finite(noise_bound=self.noise_bound)
         if self.noise_bound < 0:
             raise ValueError("noise bound must be nonnegative")
 
@@ -233,11 +248,9 @@ def random_orthogonal_dictionary(d: int, seed: int) -> Dictionary:
 
 
 def _gaussian_column(child: np.random.SeedSequence, m: int, field_tag: str) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(child))
-    if field_tag == "real":
-        return rng.standard_normal(m) / np.sqrt(m)
-    raw = rng.standard_normal(2 * m)
-    return (raw[:m] + 1j * raw[m:]) / np.sqrt(2 * m)
+    complex_field = field_tag == "complex"
+    g = _gaussian(np.random.Generator(np.random.PCG64(child)), m, complex_field)
+    return g / np.sqrt(2 * m if complex_field else m)
 
 
 def gaussian_measurements(
@@ -257,8 +270,7 @@ def gaussian_measurements(
         raise ValueError("m and d must be positive")
     if field_tag not in ("real", "complex"):
         raise ValueError("field_tag must be 'real' or 'complex'")
-    root = seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed, SALT_MEASUREMENT)
-    children = root.spawn(d)
+    children = _as_seed_sequence(seed, SALT_MEASUREMENT).spawn(d)
     dtype = np.float64 if field_tag == "real" else np.complex128
     mat = np.empty((m, d), dtype=dtype)
     for j, child in enumerate(children):

@@ -17,6 +17,7 @@ supports keep every circular pairwise gap at least floor(n / 2k).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import html
 import json
@@ -36,11 +37,13 @@ from .dictionaries import (
     SALT_NOISE,
     SALT_SIGNAL,
     Dictionary,
+    _as_seed_sequence,
+    _gaussian,
     gaussian_measurements,
     overcomplete_dft,
     seed_sequence,
 )
-from .linalg import SupportSet
+from .linalg import SupportSet, _require_finite
 from .projections import SCHEME_KINDS
 from .recovery import HaltingRule, RecoveryReport, SSCoSaMPConfig, eps_omp_recover, sscosamp
 
@@ -117,6 +120,7 @@ class TrialConfig:
             raise ValueError("redundancy must be >= 1")
         if self.mode not in SIGNAL_MODES:
             raise ValueError(f"unknown signal mode {self.mode!r}")
+        _require_finite(noise_level=self.noise_level, success_tol=self.success_tol)
         if self.noise_level < 0:
             raise ValueError("noise_level must be nonnegative")
         if self.success_tol <= 0:
@@ -171,14 +175,10 @@ class RecoveryCurve:
     mode: str = ""
 
 
-_DICT_CACHE: dict[tuple[int, int], Dictionary] = {}
-
-
+# One dictionary per (d, redundancy) and process, so every trial shares its caches.
+@functools.lru_cache(maxsize=None)
 def _dictionary_for(d: int, redundancy: int) -> Dictionary:
-    key = (d, redundancy)
-    if key not in _DICT_CACHE:
-        _DICT_CACHE[key] = overcomplete_dft(d, redundancy)
-    return _DICT_CACHE[key]
+    return overcomplete_dft(d, redundancy)
 
 
 def _separated_support(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
@@ -206,10 +206,7 @@ def gen_sparse_signal(
         raise ValueError(f"unknown signal mode {mode!r}")
     if not 1 <= k <= D.n:
         raise ValueError("need 1 <= k <= n")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.Generator(np.random.PCG64(seed))
-    else:
-        rng = np.random.Generator(np.random.PCG64(seed_sequence(seed, SALT_SIGNAL)))
+    rng = np.random.Generator(np.random.PCG64(_as_seed_sequence(seed, SALT_SIGNAL)))
     n = D.n
     if k == 1:
         support = np.array([rng.integers(n)], dtype=np.intp)
@@ -220,11 +217,9 @@ def gen_sparse_signal(
         support = _separated_support(rng, n, k)
     T = SupportSet.from_iterable(support, n)
     cols = D.matrix[:, T.as_array()]
+    complex_field = D.field_tag == "complex"
     for _ in range(100):
-        if D.field_tag == "complex":
-            coeffs = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / math.sqrt(2.0)
-        else:
-            coeffs = rng.standard_normal(k)
+        coeffs = _gaussian(rng, k, complex_field) / (math.sqrt(2.0) if complex_field else 1.0)
         x = cols @ coeffs
         nrm = float(np.linalg.norm(x))
         if nrm > 1e-12:
@@ -241,17 +236,13 @@ def gen_sparse_signal(
 def add_noise(v: np.ndarray, level: float, seed: np.random.SeedSequence) -> np.ndarray:
     """v plus a noise vector of norm level (v itself when level is 0).
 
-    The noise is g * level / ||g|| for g a standard normal draw of v's length,
-    seeded by seed: real, or real part then imaginary part when v is complex.
+    The noise is g * level / ||g|| for g a standard normal draw of v's length
+    and field, seeded by seed.
     """
+    _require_finite(level=level)
     if level <= 0.0:
         return v
-    rng = np.random.Generator(np.random.PCG64(seed))
-    size = v.shape[0]
-    if np.iscomplexobj(v):
-        g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    else:
-        g = rng.standard_normal(size)
+    g = _gaussian(np.random.Generator(np.random.PCG64(seed)), v.shape[0], np.iscomplexobj(v))
     return v + level * g / np.linalg.norm(g)
 
 

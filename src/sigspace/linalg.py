@@ -8,10 +8,14 @@ conventions that matter package-wide:
   make near-singular subproblems routine, so the cutoff is deliberately a
   factor 10 looser than numpy's default.
 * Rank-deficient least squares always returns the minimum-norm solution.
+
+``_require_finite`` is the one check that a scalar parameter is neither NaN
+nor infinite; the range checks after it can then trust their comparisons.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,6 +30,13 @@ _EPS = float(np.finfo(np.float64).eps)
 def rank_rcond(shape: tuple[int, int]) -> float:
     """Relative singular-value cutoff for a matrix of the given shape."""
     return max(shape) * _EPS * RANK_CUTOFF_FACTOR
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ValueError("<name> must be finite") for the first NaN or infinity."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .dictionaries import SALT_ESTIMATOR, Dictionary, rng_from
+from .dictionaries import SALT_ESTIMATOR, Dictionary, _gaussian, rng_from
 from .linalg import (
     SupportSet,
     _adjoint_apply,
+    _require_finite,
     captured_and_residual_sq,
     rank_rcond,
     top_k_indices,
@@ -72,6 +73,7 @@ class SelectionScheme:
             raise ValueError(f"eps is only meaningful for {_EPS_KINDS}, not {self.kind!r}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        _require_finite(rel_tol=self.rel_tol)
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
 
@@ -467,18 +469,12 @@ def select(scheme: SelectionScheme, D: Dictionary, z: np.ndarray) -> SupportSet:
 
 def _estimator_draw(D: Dictionary, k: int, trial: int, rng: np.random.Generator) -> np.ndarray:
     complex_field = D.field_tag == "complex"
-
-    def noise(size: int) -> np.ndarray:
-        if complex_field:
-            return rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return rng.standard_normal(size)
-
     if trial % 2 == 0:
-        return noise(D.d)
+        return _gaussian(rng, D.d, complex_field)
     support = np.sort(rng.choice(D.n, size=k, replace=False))
-    coeffs = noise(k)
+    coeffs = _gaussian(rng, k, complex_field)
     sigma = (0.0, 0.1, 1.0)[(trial // 2) % 3]
-    return D.matrix[:, support] @ coeffs + sigma * noise(D.d)
+    return D.matrix[:, support] @ coeffs + sigma * _gaussian(rng, D.d, complex_field)
 
 
 def estimate_near_optimality(

@@ -11,13 +11,13 @@ robustness to strongly correlated atoms.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import cycle
 
 import numpy as np
 
 from .dictionaries import Dictionary
-from .linalg import SupportSet, _adjoint_apply, ls_synthesize, project
+from .linalg import SupportSet, _adjoint_apply, _require_finite, ls_synthesize, project
 from .projections import _EPS_KINDS, SelectionScheme, _greedy, select
 
 STOP_RESIDUAL = "residual"
@@ -39,6 +39,7 @@ class HaltingRule:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        _require_finite(residual_tol=self.residual_tol, stagnation_tol=self.stagnation_tol)
         if self.residual_tol < 0 or self.stagnation_tol < 0:
             raise ValueError("tolerances must be nonnegative")
 
@@ -118,13 +119,7 @@ class RecoveryReport:
             "residual_norm": self.residual_norm,
             "wall_time": self.wall_time,
             "trace": [
-                {
-                    "iteration": t.iteration,
-                    "support_size": t.support_size,
-                    "merged_size": t.merged_size,
-                    "residual_norm": t.residual_norm,
-                    **({"error_norm": t.error_norm} if t.error_norm is not None else {}),
-                }
+                {k: v for k, v in asdict(t).items() if k != "error_norm" or v is not None}
                 for t in self.trace
             ],
         }

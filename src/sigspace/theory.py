@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .dictionaries import Dictionary, identity_dictionary
+from .linalg import _require_finite
 from .projections import BudgetExceededError, _support_bases
 
 # Supports are enumerated exhaustively; beyond this width the count explodes.
@@ -59,29 +60,11 @@ class TheoryConstants:
     eta0: float | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "zeta": self.zeta,
-            "gamma": self.gamma,
-            "c_k": self.c_k,
-            "ctilde_2k": self.ctilde_2k,
-            "delta_zp1": self.delta_zp1,
-            "delta_3z": self.delta_3z,
-            "delta_3zp1": self.delta_3zp1,
-            "alpha": self.alpha,
-            "rho1": self.rho1,
-            "rho2": self.rho2,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "rho": self.rho,
-            "eta": self.eta,
-            "feasible": self.feasible,
-            "condition_ok": self.condition_ok,
-            "epsilon_sq": self.epsilon_sq,
-        }
-        if self.t_star is not None:
-            out["t_star"] = self.t_star
-        if self.eta0 is not None:
-            out["eta0"] = self.eta0
+        """The fields in declaration order; t_star and eta0 only when filled."""
+        out = asdict(self)
+        for key in ("t_star", "eta0"):
+            if out[key] is None:
+                del out[key]
         return out
 
 
@@ -242,6 +225,7 @@ def coherence_rip_bound(mu: float, k: int) -> float:
 def ck_bound_generic(c_e: float, delta_2k: float) -> float:
     """Residual near-optimality of a representation pursuit with error factor
     C_e, lifted to signal space: C_k <= 1 + C_e * sqrt(1 + delta_2k)."""
+    _require_finite(c_e=c_e)
     if c_e < 0:
         raise ValueError("c_e must be nonnegative")
     if not 0.0 <= delta_2k < 1.0:
@@ -269,6 +253,7 @@ def ctilde_bound_threshold(delta_k: float) -> float:
 
 
 def _validate_cs(c_k: float, ctilde_2k: float, gamma: float) -> None:
+    _require_finite(c_k=c_k, ctilde_2k=ctilde_2k, gamma=gamma)
     if c_k < 1.0:
         raise ValueError("c_k must be >= 1")
     if not 0.0 < ctilde_2k <= 1.0:
@@ -333,6 +318,7 @@ def convergence_constants(
     if not 0.0 <= d1 <= d2 <= d3 < 1.0:
         raise ValueError("deltas must be nondecreasing within [0, 1)")
     _validate_cs(c_k, ctilde_2k, gamma)
+    _require_finite(zeta=zeta)
     if zeta < 1.0:
         raise ValueError("zeta must be >= 1")
     root_c = math.sqrt(c_k)
@@ -387,6 +373,7 @@ def error_budget(
     """
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    _require_finite(eta=eta, x_norm=x_norm, e_norm=e_norm)
     if eta < 0 or x_norm < 0 or e_norm < 0:
         raise ValueError("norms and eta must be nonnegative")
     if e_norm == 0.0:

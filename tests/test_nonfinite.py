@@ -7,6 +7,7 @@ import pytest
 
 from sigspace import (
     Dictionary,
+    HaltingRule,
     SSCoSaMPConfig,
     SelectionScheme,
     eps_omp_recover,
@@ -21,9 +22,15 @@ from sigspace import (
     oracle_stats,
     select,
     sscosamp,
+    ck_bound_generic,
+    condition_check,
+    convergence_constants,
+    error_budget,
+    theory_bundle,
 )
 from sigspace.cli import main
-from sigspace.dictionaries import SALT_MEASUREMENT, SALT_SIGNAL
+from sigspace.dictionaries import SALT_MEASUREMENT, SALT_NOISE, SALT_SIGNAL
+from sigspace.experiments import TrialConfig, add_noise, fig_variants
 
 
 def dft_instance():
@@ -119,3 +126,96 @@ def test_cli_project_rejects_nan_signal(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# scalar parameters: NaN fails every comparison, so a range check alone
+# (x < bound: raise) lets it through, and an infinity passes a one-sided bound
+
+
+THEORY_ARGS = dict(deltas=(0.01, 0.01, 0.01), c_k=1.0, ctilde_2k=1.0, gamma=0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["c_k", "gamma"])
+def test_theory_bundle_rejects_non_finite_constants(name, bad):
+    # c_k = nan once gave feasible: True with rho = eta = nan
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        theory_bundle(**{**THEORY_ARGS, name: bad})
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        condition_check(**{k: v for k, v in {**THEORY_ARGS, name: bad}.items() if k != "deltas"})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_convergence_constants_reject_non_finite_zeta(bad):
+    # zeta = nan once returned finite constants with condition_ok: True
+    with pytest.raises(ValueError, match="zeta must be finite"):
+        convergence_constants(**THEORY_ARGS, zeta=bad)
+
+
+def test_theory_range_messages_are_kept_for_finite_values():
+    with pytest.raises(ValueError, match="c_k must be >= 1"):
+        theory_bundle(**{**THEORY_ARGS, "c_k": 0.5})
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        theory_bundle(**{**THEORY_ARGS, "gamma": 0.0})
+    with pytest.raises(ValueError, match="zeta must be >= 1"):
+        convergence_constants(**THEORY_ARGS, zeta=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ck_bound_generic_rejects_non_finite_error_factor(bad):
+    with pytest.raises(ValueError, match="c_e must be finite"):
+        ck_bound_generic(bad, 0.1)
+    with pytest.raises(ValueError, match="c_e must be nonnegative"):
+        ck_bound_generic(-1.0, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["eta", "x_norm", "e_norm"])
+def test_error_budget_rejects_non_finite_norms(name, bad):
+    # eta = nan once returned (4, nan); x_norm = inf raised OverflowError
+    args = {"rho": 0.5, "eta": 1.0, "x_norm": 1.0, "e_norm": 0.1, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        error_budget(**args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["noise_level", "success_tol"])
+def test_trial_config_rejects_non_finite_levels(name, bad):
+    # success_tol = nan once made every trial a failure
+    base = dict(d=16, redundancy=2, k=2, m=8, variant=fig_variants()[0],
+                mode="clustered", noise_level=0.0, base_seed=1, trial_index=0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        TrialConfig(**{**base, name: bad})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["residual_tol", "stagnation_tol"])
+def test_halting_rule_rejects_non_finite_tolerances(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        HaltingRule(**{name: bad})
+    with pytest.raises(ValueError, match="tolerances must be nonnegative"):
+        HaltingRule(**{name: -1.0})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_selection_scheme_rejects_non_finite_rel_tol(bad):
+    with pytest.raises(ValueError, match="rel_tol must be finite"):
+        SelectionScheme("cosamp-rep", 2, rel_tol=bad)
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        SelectionScheme("cosamp-rep", 2, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_add_noise_rejects_non_finite_level(bad):
+    # level = nan once returned a NaN vector
+    with pytest.raises(ValueError, match="level must be finite"):
+        add_noise(np.ones(4), bad, seed_sequence(1, SALT_NOISE))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measurement_model_rejects_non_finite_noise_bound(bad):
+    with pytest.raises(ValueError, match="noise_bound must be finite"):
+        gaussian_measurements(4, 3, 1, noise_bound=bad)
+    with pytest.raises(ValueError, match="noise bound must be nonnegative"):
+        gaussian_measurements(4, 3, 1, noise_bound=-1.0)
