@@ -264,8 +264,11 @@ def _greedy_over_atoms(
     refit: bool = True,
 ) -> tuple[SupportSet, SupportSet]:
     """_greedy over D's own atoms. A dense D lends its cached Gram columns;
-    the overcomplete DFT does not, as its one FFT per pick costs less than
-    updating from Gram columns."""
+    the overcomplete DFT keeps one FFT D^H r per pick. Forcing the Gram path
+    on the DFT kept the fig2 sweep digests but cut the fig2-sweep benchmark
+    from a median of 107.0 to 100.9 ops/s (the FFT path won 3 of 4
+    alternating 15-s pairs) and raised its peak RSS from 51.2 to 53.0 MB
+    (2-CPU VM, OpenBLAS 0.3.31)."""
     gram = None if D._fft else D.gram_column
     return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram)
 
