@@ -155,10 +155,19 @@ def make_instance(kind, complex_field, seed):
     elif kind == "all-zero":
         atoms[:] = 0.0
     M = _draw(rng, (m, d), complex_field) / math.sqrt(m)
+    if kind == "near-singular":
+        # M maps one unit vector v of span(d_0, d_1) to norm 1e-7, so
+        # sigma_min(M U) is about 1e-7 on every span that holds v: the
+        # squared singular values lose their digits there
+        v = atoms[:, 0] + atoms[:, 1]
+        v = v / np.linalg.norm(v)
+        w = M @ v
+        M = M + np.outer(1e-7 * w / np.linalg.norm(w) - w, v.conj())
     return Dictionary(atoms), M, k
 
 
-KINDS = ("generic", "m<k", "rank-deficient", "duplicated-atom", "zero-atom", "tiny-atom", "all-zero")
+KINDS = ("generic", "m<k", "rank-deficient", "duplicated-atom", "zero-atom", "tiny-atom",
+         "all-zero", "near-singular")
 CASES = [(kind, cplx, seed) for kind in KINDS for cplx in (False, True) for seed in range(3)]
 
 
@@ -187,6 +196,7 @@ def test_drip_invariant_suite_matches_loop(kind, complex_field, seed):
         report = drip_invariant_suite(M, D, kk)
         delta, image, self_gram, cross, supports, pairs = ref_drip_invariant_suite(M, D, kk)
         assert_close(report.delta, delta)
+        assert report.delta == exact_drip(M, D, kk)
         assert_close(report.image_norm_min_slack, image)
         assert_close(report.self_gram_min_slack, self_gram)
         assert_close(report.cross_gram_min_slack, cross)
