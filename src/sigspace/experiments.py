@@ -237,10 +237,12 @@ def add_noise(v: np.ndarray, level: float, seed: np.random.SeedSequence) -> np.n
     """v plus a noise vector of norm level (v itself when level is 0).
 
     The noise is g * level / ||g|| for g a standard normal draw of v's length
-    and field, seeded by seed.
+    and field, seeded by seed. A negative level raises ValueError.
     """
     _require_finite(level=level)
-    if level <= 0.0:
+    if level < 0.0:
+        raise ValueError("level must be nonnegative")
+    if level == 0.0:
         return v
     g = _gaussian(np.random.Generator(np.random.PCG64(seed)), v.shape[0], np.iscomplexobj(v))
     return v + level * g / np.linalg.norm(g)

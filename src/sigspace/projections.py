@@ -354,36 +354,40 @@ def iht_rep_select(
     D: Dictionary, z: np.ndarray, k: int, max_iters: int = 200, rel_tol: float = 1e-6
 ) -> SupportSet:
     """Support of a k-sparse representation found by unit-step iterative hard
-    thresholding on (D, z). Same convergence/warning contract as cosamp-rep."""
+    thresholding on (D, z). Same convergence/warning contract as cosamp-rep.
+
+    The top-k step is top_k_indices without its final sort (the kept set is
+    the same), and the best iterate's support is built once, at return.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     alpha = np.zeros(D.n, dtype=np.result_type(D.matrix, z))
     r = z.astype(alpha.dtype, copy=True)
     z_norm = float(np.linalg.norm(z))
-    prev_res = float(np.linalg.norm(r))
-    best_res, best_support = prev_res, _sparse_support(alpha)
+    prev_res = _norm(r)
+    best_res, best_alpha = prev_res, alpha
     converged = prev_res <= 1e-12 * max(z_norm, 1.0)
     for _ in range(max_iters):
         if converged:
             break
         v = alpha + D.analysis(r)
-        keep = top_k_indices(np.abs(v), k)
-        new_alpha = np.zeros_like(alpha)
+        keep = (-np.abs(v)).argsort(kind="stable")[:k]
+        new_alpha = np.zeros(alpha.shape, alpha.dtype)
         new_alpha[keep] = v[keep]
-        if np.array_equal(new_alpha, alpha):
+        if (new_alpha == alpha).all():
             converged = True
             break
         alpha = new_alpha
         r = z - D.matrix @ alpha
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
         if res < best_res:
-            best_res, best_support = res, _sparse_support(alpha)
+            best_res, best_alpha = res, alpha
         if res <= 1e-12 * max(z_norm, 1.0) or abs(prev_res - res) < rel_tol * prev_res:
             converged = True
         prev_res = res
     if not converged:
         warnings.warn("iht-rep hit its iteration cap while still improving", RuntimeWarning)
-    return best_support
+    return _sparse_support(best_alpha)
 
 
 def _support_bases(D: Dictionary, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,6 +6,13 @@ condition on the near-optimality constants, and the classical bounds that feed
 them. The oracle layer measures restricted-isometry behaviour exactly on
 instances small enough to enumerate every support, which is what the test
 suite uses to certify hypotheses instead of assuming them.
+
+The certificates read M on each support's span through the Gram matrix
+(M U)^H (M U) of an orthonormal basis U: one batched eigen-solve per support
+size gives every sigma_max^2 and sigma_min^2 of M U, and from those alone the
+isometry constant, the image-norm bound and the self-Gram bound of each
+support, because ||U^H (I - M^H M) U|| = ||I - (M U)^H (M U)||. Only the
+cross-Gram norm between two different spans needs its own products.
 """
 
 from __future__ import annotations
@@ -111,29 +118,44 @@ def _checked_measurements(M: np.ndarray, D: Dictionary, k: int) -> np.ndarray:
     return M
 
 
+def _isometry_extremes(
+    M: np.ndarray, D: Dictionary, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bases, sigma_max^2, deviation) of M on every spanning support of one size.
+
+    bases are the padded orthonormal bases U of the supports whose span is
+    not zero, in enumeration order. The squared singular values of M U are
+    the eigenvalues of its Gram matrix (M U)^H (M U), so one batched
+    eigvalsh gives both extremes. The zero padding adds zero eigenvalues
+    below the span's own, so sigma_min^2 of a rank-r span is the r-th
+    largest; fewer measurement rows than span dimensions leave a kernel, and
+    it is 0. deviation is max(sigma_max^2 - 1, 1 - sigma_min^2), which is
+    also ||I_r - (M U)^H (M U)|| = ||U^H (I - M^H M) U||.
+    """
+    _, bases, ranks = _support_bases(D, size)
+    spanning = ranks > 0
+    U, ranks = bases[spanning], ranks[spanning]
+    B = M @ U
+    eig = np.linalg.eigvalsh(B.conj().swapaxes(1, 2) @ B)
+    smax_sq = eig[:, -1]
+    smin_sq = np.where(ranks <= M.shape[0], eig[np.arange(ranks.size), size - ranks], 0.0)
+    return U, smax_sq, np.maximum(smax_sq - 1.0, 1.0 - np.maximum(smin_sq, 0.0))
+
+
 def exact_drip(M: np.ndarray, D: Dictionary, k: int) -> float:
     """Exact restricted-isometry constant of M over k-term dictionary spans.
 
     For each size-k support the extreme generalized Rayleigh quotients of
     ||M D_T a||^2 / ||D_T a||^2 are the extreme squared singular values of M
-    restricted to an orthonormal basis of range(D_T); quotients over smaller
-    supports are dominated by some size-k superset, so size k suffices.
-    Supports whose atoms are all zero contribute nothing (the quotient is
-    restricted to D_T a != 0).
+    restricted to an orthonormal basis U of range(D_T), which are the extreme
+    eigenvalues of the Gram matrix (M U)^H (M U): one batched eigen-solve of
+    the small Gram matrices replaces an SVD of every M U. Quotients over
+    smaller supports are dominated by some size-k superset, so size k
+    suffices. Supports whose atoms are all zero contribute nothing (the
+    quotient is restricted to D_T a != 0).
     """
     M = _checked_measurements(M, D, k)
-    _, bases, ranks = _support_bases(D, k)
-    spanning = ranks > 0
-    ranks = ranks[spanning]
-    if ranks.size == 0:
-        return 0.0
-    s = np.linalg.svd(M @ bases[spanning], compute_uv=False)
-    # the bases are zero-padded, so the smallest singular value of M on a
-    # rank-r span is s[r - 1]; fewer measurement rows than span dimensions
-    # leave a kernel, and the smallest is 0
-    rows = np.arange(ranks.size)
-    smin = np.where(ranks <= M.shape[0], s[rows, np.minimum(ranks, s.shape[1]) - 1], 0.0)
-    return float(max(0.0, np.max(s[:, 0] ** 2) - 1.0, np.max(1.0 - smin**2)))
+    return float(np.max(_isometry_extremes(M, D, k)[2], initial=0.0))
 
 
 # One identity dictionary per n, so exact_rip reuses its cached support bases.
@@ -153,7 +175,10 @@ def exact_rip(A: np.ndarray, k: int) -> float:
 
 
 def _operator_norms(X: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of matrices."""
+    """Spectral norms of a stack of matrices. The spectral norm of a row is
+    its Euclidean norm, so a stack of rows needs no SVD."""
+    if X.shape[-2] == 1:
+        return np.linalg.norm(X, axis=(-2, -1))
     return np.linalg.norm(X, 2, axis=(-2, -1))
 
 
@@ -171,24 +196,36 @@ def _pair_blocks(n1: int, n2: int, upper: bool):
 def drip_invariant_suite(M: np.ndarray, D: Dictionary, k: int) -> DripInvariantReport:
     """Exhaustively verify the operator-norm consequences of isometry.
 
-    With delta from exact_drip, checks ||M P_T||^2 <= 1 + delta over all
-    supports of size <= k, ||P_T (I - M*M) P_T|| <= delta over the same, and
-    ||P_T1 (I - M*M) P_T2|| <= delta over all pairs with |T1| + |T2| <= k.
+    With delta = exact_drip(M, D, k), checks ||M P_T||^2 <= 1 + delta over
+    all supports of size <= k, ||P_T (I - M*M) P_T|| <= delta over the same,
+    and ||P_T1 (I - M*M) P_T2|| <= delta over all pairs with
+    |T1| + |T2| <= k.
+
+    The first two follow from each support's own isometry extremes, which one
+    Gram eigen-solve per size gives (see exact_drip): ||M P_T||^2 is
+    sigma_max^2 of M U, and for an orthonormal U,
+    ||U^H (I - M*M) U|| = ||I - (M U)^H (M U)|| = max(sigma_max^2 - 1,
+    1 - sigma_min^2). delta is read from the same solve at size k, so it is
+    exact_drip's value bit for bit. The cross-Gram norm couples two different
+    spans and is the check those extremes do not give; it is formed
+    explicitly, and a block with |T1| = 1 is a row whose spectral norm is its
+    Euclidean norm.
     """
     M = _checked_measurements(M, D, k)
-    delta = exact_drip(M, D, k)
     A = np.eye(D.d, dtype=np.result_type(M, D.matrix)) - M.conj().T @ M
-    tables = [_support_bases(D, size) for size in range(1, k + 1)]
-    supports = sum(len(table[0]) for table in tables)
-    # bases[s - 1]: the supports of size s with a nonzero span, in order
-    bases = [U[ranks > 0] for _, U, ranks in tables]
-    lefts = [U.conj().swapaxes(1, 2) @ A for U in bases]
-    image_slack = math.inf
-    self_slack = math.inf
-    for U, left in zip(bases, lefts):
-        if len(U):
-            image_slack = min(image_slack, (1.0 + delta) - np.max(_operator_norms(M @ U)) ** 2)
-            self_slack = min(self_slack, delta - np.max(_operator_norms(left @ U)))
+    supports = 0
+    bases = []  # bases[s - 1]: the supports of size s with a nonzero span, in order
+    smax_sq = -math.inf
+    deviation = -math.inf
+    for size in range(1, k + 1):
+        supports += len(_support_bases(D, size)[0])
+        U, size_smax_sq, size_deviation = _isometry_extremes(M, D, size)
+        bases.append(U)
+        smax_sq = max(smax_sq, np.max(size_smax_sq, initial=-math.inf))
+        deviation = max(deviation, np.max(size_deviation, initial=-math.inf))
+    delta = float(np.max(size_deviation, initial=0.0))  # size k, as in exact_drip
+    # the left factors U^H (I - M*M), only for the sizes the pairs read
+    lefts = [U.conj().swapaxes(1, 2) @ A for U in bases[: k // 2]]
     # pairs with |T1| <= |T2| (T1 <= T2 in enumeration order when the sizes
     # agree) and |T1| + |T2| <= k
     cross_slack = math.inf
@@ -205,8 +242,8 @@ def drip_invariant_suite(M: np.ndarray, D: Dictionary, k: int) -> DripInvariantR
         cross_slack = 0.0
     return DripInvariantReport(
         delta=delta,
-        image_norm_min_slack=float(image_slack),
-        self_gram_min_slack=float(self_slack),
+        image_norm_min_slack=float((1.0 + delta) - smax_sq),
+        self_gram_min_slack=float(delta - deviation),
         cross_gram_min_slack=float(cross_slack),
         supports_checked=supports,
         pairs_checked=pairs,
