@@ -213,12 +213,10 @@ def drip_invariant_suite(M: np.ndarray, D: Dictionary, k: int) -> DripInvariantR
     """
     M = _checked_measurements(M, D, k)
     A = np.eye(D.d, dtype=np.result_type(M, D.matrix)) - M.conj().T @ M
-    supports = 0
     bases = []  # bases[s - 1]: the supports of size s with a nonzero span, in order
     smax_sq = -math.inf
     deviation = -math.inf
     for size in range(1, k + 1):
-        supports += len(_support_bases(D, size)[0])
         U, size_smax_sq, size_deviation = _isometry_extremes(M, D, size)
         bases.append(U)
         smax_sq = max(smax_sq, np.max(size_smax_sq, initial=-math.inf))
@@ -245,7 +243,7 @@ def drip_invariant_suite(M: np.ndarray, D: Dictionary, k: int) -> DripInvariantR
         image_norm_min_slack=float((1.0 + delta) - smax_sq),
         self_gram_min_slack=float(delta - deviation),
         cross_gram_min_slack=float(cross_slack),
-        supports_checked=supports,
+        supports_checked=sum(math.comb(D.n, size) for size in range(1, k + 1)),
         pairs_checked=pairs,
     )
 
