@@ -394,10 +394,8 @@ def _build_dictionary(cfg: dict, ctx: str, seed: int) -> Dictionary:
 
 def _load_vector(path: str, ctx: str) -> np.ndarray:
     arr, _ = _load(load_container, path, ctx)
-    if arr.ndim == 2 and arr.shape[1] == 1:
+    if arr.shape[1] == 1:
         return arr[:, 0]
-    if arr.ndim == 1:
-        return arr
     raise ValueError(f"{ctx}: {path} does not hold a vector")
 
 

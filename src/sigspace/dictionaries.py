@@ -65,11 +65,10 @@ class Dictionary:
     and the brute-force oracle are cached per instance, so the matrix must not
     change after construction.
 
-    The analysis operator D^H r and the measured dictionary M D run by FFT
-    when the matrix is exactly overcomplete_dft(d, redundancy): that function
-    marks its instance, and load_dictionary marks a container whose payload
-    equals it bit for bit. Any other matrix, whatever its kind tag, takes the
-    dense products.
+    The analysis operator D^H r runs by FFT when the matrix is exactly
+    overcomplete_dft(d, redundancy): that function marks its instance, and
+    load_dictionary marks a container whose payload equals it bit for bit. Any
+    other matrix, whatever its kind tag, takes the dense product.
 
     The Gram columns D^H d_i that the greedy schemes read on dense
     dictionaries are cached for the d most recently used atoms, so the cache
@@ -137,18 +136,6 @@ class Dictionary:
         if len(cache) > self.d:
             cache.popitem(last=False)
         return g
-
-    def measured(self, M: np.ndarray) -> np.ndarray:
-        """M D: the measured atoms, one column per atom.
-
-        For the overcomplete DFT these are the length-n inverse FFTs of M's
-        rows scaled by n / sqrt(d), O(m n log n) instead of O(m d n).
-        """
-        if not self._fft:
-            return M @ self.matrix
-        if M.ndim != 2 or M.shape[1] != self.d:
-            raise ValueError("measurement columns must match the dictionary dimension")
-        return np.fft.ifft(M, self.n, axis=1) * (self.n / math.sqrt(self.d))
 
     def correlation_rows(self, indices: np.ndarray) -> np.ndarray:
         """|<d_i, d_j>| / (||d_i|| ||d_j||) for j in indices, all i; shape (len(indices), n)."""

@@ -248,26 +248,30 @@ def add_noise(v: np.ndarray, level: float, seed: np.random.SeedSequence) -> np.n
     return v + level * g / np.linalg.norm(g)
 
 
-def _measurement_matrix(cfg: TrialConfig) -> np.ndarray:
+# The caches below hold the last point a process built, read-only so that no
+# variant can change what the next one sees. Jobs run every variant of a point
+# in turn and the modes of one (m, trial) next to each other, so one entry each
+# is enough for the variants of a point to share its inputs and the modes to
+# share M.
+@functools.lru_cache(maxsize=1)
+def _measurement_matrix(base_seed: int, d: int, m: int, trial: int) -> np.ndarray:
     """The trial's M; its seed depends on (base_seed, m, trial), not the mode."""
-    meas_seed = seed_sequence(cfg.base_seed, SALT_MEASUREMENT, cfg.m, cfg.trial_index)
-    return gaussian_measurements(cfg.m, cfg.d, meas_seed).matrix
+    M = gaussian_measurements(m, d, seed_sequence(base_seed, SALT_MEASUREMENT, m, trial)).matrix
+    M.flags.writeable = False
+    return M
 
 
-def _trial_inputs(
-    cfg: TrialConfig, M: np.ndarray | None = None
+@functools.lru_cache(maxsize=1)
+def _point_inputs(
+    d: int, redundancy: int, k: int, mode: str, noise_level: float, base_seed: int, m: int,
+    trial: int,
 ) -> tuple[Dictionary, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic (D, M, x, y) for a trial; independent of the variant.
-
-    M, when given, must be _measurement_matrix(cfg); it is built otherwise.
-    """
-    D = _dictionary_for(cfg.d, cfg.redundancy)
-    sig_seed = seed_sequence(cfg.base_seed, SALT_SIGNAL, cfg.trial_index)
-    x, _, _ = gen_sparse_signal(D, cfg.k, cfg.mode, sig_seed)
-    if M is None:
-        M = _measurement_matrix(cfg)
-    noise_seed = seed_sequence(cfg.base_seed, SALT_NOISE, cfg.m, cfg.trial_index)
-    y = add_noise(M @ x, cfg.noise_level, noise_seed)
+    """Deterministic (D, M, x, y) for every variant of one (m, trial, mode) point."""
+    D = _dictionary_for(d, redundancy)
+    x, _, _ = gen_sparse_signal(D, k, mode, seed_sequence(base_seed, SALT_SIGNAL, trial))
+    M = _measurement_matrix(base_seed, d, m, trial)
+    y = add_noise(M @ x, noise_level, seed_sequence(base_seed, SALT_NOISE, m, trial))
+    x.flags.writeable = y.flags.writeable = False
     return D, M, x, y
 
 
@@ -299,9 +303,10 @@ def run_variant(
     )
 
 
-def _execute_variant(
-    cfg: TrialConfig, D: Dictionary, M: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> TrialRecord:
+def run_trial(cfg: TrialConfig) -> TrialRecord:
+    """Run the trial's variant once on its point's inputs (see _point_inputs)."""
+    D, M, x, y = _point_inputs(cfg.d, cfg.redundancy, cfg.k, cfg.mode, cfg.noise_level,
+                               cfg.base_seed, cfg.m, cfg.trial_index)
     report = run_variant(cfg.variant, y, M, D, cfg.k, HaltingRule(max_iters=cfg.max_iters))
     rel = float(np.linalg.norm(report.estimate - x) / np.linalg.norm(x))
     return TrialRecord(
@@ -315,12 +320,6 @@ def _execute_variant(
         stop_reason=report.stop_reason,
         wall_time=report.wall_time,
     )
-
-
-def run_trial(cfg: TrialConfig) -> TrialRecord:
-    """Build the trial's inputs from its seeds and run its variant once."""
-    D, M, x, y = _trial_inputs(cfg)
-    return _execute_variant(cfg, D, M, x, y)
 
 
 @dataclass(frozen=True)
@@ -358,63 +357,29 @@ def _point_configs(
     ]
 
 
-_WORKER_ENV: tuple[SweepSettings, tuple[VariantSpec, ...], int] | None = None
-
-# The last measurement matrix a worker built, keyed by (base_seed, d, m, trial).
-_LAST_M: tuple[tuple[int, int, int, int], np.ndarray] | None = None
-
-
-def _pool_init(settings: SweepSettings, variants: tuple[VariantSpec, ...], base_seed: int) -> None:
-    global _WORKER_ENV
-    _WORKER_ENV = (settings, variants, base_seed)
-
-
-def _shared_measurement(cfg: TrialConfig) -> np.ndarray:
-    """The trial's M, read-only, reused while consecutive jobs share it.
-
-    Jobs run mode innermost, so the jobs of both geometries at one (m, trial)
-    draw M once; a miss rebuilds it from its seeds.
-    """
-    global _LAST_M
-    key = (cfg.base_seed, cfg.d, cfg.m, cfg.trial_index)
-    if _LAST_M is None or _LAST_M[0] != key:
-        M = _measurement_matrix(cfg)
-        M.flags.writeable = False
-        _LAST_M = (key, M)
-    return _LAST_M[1]
-
-
-def _pool_job(job: tuple[int, int, str]) -> list[TrialRecord]:
-    """Every variant on one (m, trial, mode) point's inputs, which are read-only
-    so that no variant can change what the next one sees."""
-    assert _WORKER_ENV is not None
-    settings, variants, base_seed = _WORKER_ENV
+def _pool_job(
+    settings: SweepSettings, variants: tuple[VariantSpec, ...], base_seed: int,
+    job: tuple[int, int, str],
+) -> list[TrialRecord]:
+    """run_trial for every variant of one (m, trial, mode) point."""
     m, trial, mode = job
-    configs = _point_configs(settings, variants, m, trial, base_seed, mode)
-    D, M, x, y = _trial_inputs(configs[0], _shared_measurement(configs[0]))
-    x.flags.writeable = y.flags.writeable = False
-    return [_execute_variant(cfg, D, M, x, y) for cfg in configs]
+    return [run_trial(cfg) for cfg in _point_configs(settings, variants, m, trial, base_seed, mode)]
 
 
 @contextmanager
-def _worker_pool(workers: int, initargs: tuple):
+def _worker_pool(workers: int):
     """A spawned pool of sweep workers whose BLAS runs on one thread.
 
     BLAS reads its thread count when numpy loads, which a spawned worker does
-    before any initializer runs, so the count is set in the environment the
-    workers start from and the parent's values are restored on exit. One
-    thread for every worker count keeps results independent of the number of
-    workers, and workers do not compete with each other's BLAS threads.
+    as it starts, so the count is set in the environment the workers start
+    from and the parent's values are restored on exit. One thread for every
+    worker count keeps results independent of the number of workers, and
+    workers do not compete with each other's BLAS threads.
     """
     saved = {name: os.environ.get(name) for name in _WORKER_THREAD_VARS}
     os.environ.update(dict.fromkeys(_WORKER_THREAD_VARS, "1"))
     try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=get_context("spawn"),
-            initializer=_pool_init,
-            initargs=initargs,
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
             yield pool
     finally:
         for name, value in saved.items():
@@ -483,9 +448,10 @@ def run_sweep(
     # job (the fig2 benchmark's op latency), and its chunk stays 1.
     chunk = max(1, len(jobs) // len(modes) // (workers * 8))
     by_job: dict[tuple[int, int, str], list[TrialRecord]] = {}
-    with _worker_pool(workers, (settings, variants, base_seed)) as pool:
+    run_job = functools.partial(_pool_job, settings, variants, base_seed)
+    with _worker_pool(workers) as pool:
         for done, (job, records) in enumerate(
-            zip(jobs, pool.map(_pool_job, jobs, chunksize=chunk)), start=1
+            zip(jobs, pool.map(run_job, jobs, chunksize=chunk)), start=1
         ):
             by_job[job] = records
             if progress is not None:

@@ -29,7 +29,6 @@ import numpy as np
 from .dictionaries import SALT_ESTIMATOR, Dictionary, _gaussian, rng_from
 from .linalg import (
     SupportSet,
-    _adjoint_apply,
     _require_finite,
     captured_and_residual_sq,
     rank_rcond,
@@ -468,10 +467,7 @@ def select(scheme: SelectionScheme, D: Dictionary, z: np.ndarray) -> SupportSet:
     """Run a scheme on a signal."""
     if not np.isfinite(z).all():
         raise ValueError("signal must be finite")
-    selector = _SELECTORS.get(scheme.kind)
-    if selector is None:  # pragma: no cover - SelectionScheme checks the kind
-        raise ValueError(f"unknown scheme kind {scheme.kind!r}")
-    return selector(scheme, D, z)
+    return _SELECTORS[scheme.kind](scheme, D, z)
 
 
 def _estimator_draw(D: Dictionary, k: int, trial: int, rng: np.random.Generator) -> np.ndarray:

@@ -179,6 +179,10 @@ def sscosamp(
     same trace entries, instead of computing them again.
     """
     y, M = _checked_measurements(y, M, D)
+    if x_true is not None:
+        x_true = np.asarray(x_true)
+        if x_true.shape != (D.d,) or not np.isfinite(x_true).all():
+            raise ValueError("x_true must be a finite vector of length d")
     start = time.perf_counter()
     halting = config.halting
     dtype = np.result_type(M, D.matrix, y)

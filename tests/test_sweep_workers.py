@@ -35,7 +35,7 @@ def set_parent(monkeypatch, value):
 
 def test_pool_jobs_see_one_blas_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    with experiments._worker_pool(2, (SETTINGS, VARIANTS, 11)) as pool:
+    with experiments._worker_pool(2) as pool:
         seen = [pool.submit(os.getenv, name).result() for name in THREAD_VARS]
     assert seen == ["1", "1", "1"]
 
