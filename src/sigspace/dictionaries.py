@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import _adjoint_apply, _require_finite
+from .linalg import _adjoint_apply, _norm, _require_finite
 
 # Salts for derived seed streams. Fixed for the life of the file format.
 SALT_SIGNAL = 1
@@ -71,8 +70,10 @@ class Dictionary:
     other matrix, whatever its kind tag, takes the dense product.
 
     The Gram columns D^H d_i that the greedy schemes read on dense
-    dictionaries are cached for the d most recently used atoms, so the cache
-    never holds more entries than the matrix itself.
+    dictionaries are cached as they are first computed and kept: at most n
+    columns, the whole n x n Gram matrix (n^2 entries, 8 MiB for a real
+    n = 1024), each computed once. The atom norms of the greedy schemes'
+    rank test are cached the same way.
     """
 
     matrix: np.ndarray
@@ -81,7 +82,8 @@ class Dictionary:
     unit_norm: bool = False
     _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _support_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _gram_cache: OrderedDict = field(default_factory=OrderedDict, repr=False, compare=False)
+    _gram_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _fft: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -124,18 +126,20 @@ class Dictionary:
         return np.fft.fft(r, self.n) / math.sqrt(self.d)
 
     def gram_column(self, i: int) -> np.ndarray:
-        """D^H d_i, read-only, from a cache of the d most recently used atoms."""
-        cache = self._gram_cache
-        g = cache.get(i)
-        if g is not None:
-            cache.move_to_end(i)
-            return g
-        g = self.analysis(self.matrix[:, i])
-        g.flags.writeable = False
-        cache[i] = g
-        if len(cache) > self.d:
-            cache.popitem(last=False)
+        """D^H d_i, read-only, computed by analysis on first use and kept."""
+        g = self._gram_cache.get(i)
+        if g is None:
+            g = self.analysis(self.matrix[:, i])
+            g.flags.writeable = False
+            self._gram_cache[i] = g
         return g
+
+    def atom_norm(self, i: int) -> float:
+        """||d_i|| as linalg._norm computes it, on first use, then kept."""
+        norm = self._norm_cache.get(i)
+        if norm is None:
+            norm = self._norm_cache[i] = _norm(self.matrix[:, i])
+        return norm
 
     def correlation_rows(self, indices: np.ndarray) -> np.ndarray:
         """|<d_i, d_j>| / (||d_i|| ||d_j||) for j in indices, all i; shape (len(indices), n)."""

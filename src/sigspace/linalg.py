@@ -92,6 +92,16 @@ class SupportSet:
         return i in self.indices
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a vector, bit for bit: the expression it evaluates,
+    without the cost of its argument handling."""
+    v = v.ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
+
+
 def _adjoint_apply(A: np.ndarray, r: np.ndarray) -> np.ndarray:
     """A^H r without building A^H: one pass over A, no copy of the matrix."""
     return (r.conj() @ A).conj()
@@ -122,9 +132,20 @@ def orthonormal_range(A: np.ndarray) -> np.ndarray:
     return U[:, s > cutoff]
 
 
-def project(D: np.ndarray, T: SupportSet, z: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of z onto span of the atoms indexed by T."""
-    U = orthonormal_range(subdict(D, T))
+def project(
+    D: np.ndarray, T: SupportSet, z: np.ndarray, bases: dict | None = None
+) -> np.ndarray:
+    """Orthogonal projection of z onto span of the atoms indexed by T.
+
+    bases, when given, holds the orthonormal basis of every support already
+    projected onto, keyed by its indices, so projecting onto one of them
+    again takes no SVD. One dict serves one matrix D.
+    """
+    U = None if bases is None else bases.get(T.indices)
+    if U is None:
+        U = orthonormal_range(subdict(D, T))
+        if bases is not None:
+            bases[T.indices] = U
     if U.shape[1] == 0:
         return np.zeros_like(z, dtype=np.result_type(D, z))
     return U @ (U.conj().T @ z)

@@ -29,6 +29,7 @@ import numpy as np
 from .dictionaries import SALT_ESTIMATOR, Dictionary, _gaussian, rng_from
 from .linalg import (
     SupportSet,
+    _norm,
     _require_finite,
     captured_and_residual_sq,
     rank_rcond,
@@ -155,20 +156,22 @@ class _Residual:
         """The orthonormal basis, one vector per column."""
         return self._rows[: self.rank].T
 
-    def add(self, a: np.ndarray, g: np.ndarray | None = None) -> None:
+    def add(self, a: np.ndarray, g: np.ndarray | None = None, a_norm: float | None = None) -> None:
         """Add the column a to the span and update r (and c, from g = A^H a).
 
         a is orthogonalized against the basis with two classical Gram-Schmidt
-        passes. When what is left has norm at most rcond * ||a||, a already
+        passes, in place in the basis row it would take. When what is left has
+        norm at most rcond * ||a|| (a_norm, when the caller has it), a already
         lies in the span (to the package rank cutoff) and adds no vector, so
-        duplicated atoms collapse to one direction. Both passes together
-        subtract h @ rows, h the sum of their coefficients, so
-        A^H q = (g - h @ A^H rows) / norm.
+        duplicated atoms collapse to one direction; the next column added
+        overwrites the row. Both passes together subtract h @ rows, h the sum
+        of their coefficients, so A^H q = (g - h @ A^H rows) / norm.
         """
         rank = self.rank
         if rank == self._rows.shape[0]:
             return
-        q = a.astype(self.r.dtype, copy=True)
+        q = self._rows[rank]
+        q[...] = a
         if rank:
             rows = self._rows[:rank]
             h = []  # the coefficients of both passes
@@ -176,10 +179,9 @@ class _Residual:
                 h.append((rows @ q.conj()).conj() if self._complex else rows @ q)
                 q -= h[-1] @ rows
         norm = _norm(q)
-        if norm <= self._rcond * _norm(a):
+        if norm <= self._rcond * (_norm(a) if a_norm is None else a_norm):
             return
         q /= norm
-        self._rows[rank] = q
         step = np.vdot(q, self.r)
         self.r -= q * step
         if self.c is not None:
@@ -192,16 +194,6 @@ class _Residual:
         self.rank += 1
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v) of a vector, bit for bit: the expression it evaluates,
-    without the cost of its argument handling."""
-    v = v.ravel(order="K")
-    if v.dtype.kind == "c":
-        re, im = v.real, v.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(v.dot(v))
-
-
 def _greedy(
     shape: tuple[int, int],
     column: Callable[[int], np.ndarray],
@@ -211,6 +203,7 @@ def _greedy(
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
     gram: Callable[[int], np.ndarray] | None = None,
+    norm: Callable[[int], float] | None = None,
 ) -> tuple[SupportSet, SupportSet]:
     """The greedy pursuit behind OMP, eps-OMP, eps-thresholding and eps_omp_recover.
 
@@ -224,12 +217,13 @@ def _greedy(
     they stay those of z. Stops early once every column is excluded. Returns
     the picks and the final exclusion mask (the closure), both as supports.
     gram(i), the Gram column A^H a_i, makes the re-fit update A^H r from the
-    picks' Gram columns; analysis then runs once, on z.
+    picks' Gram columns; analysis then runs once, on z. norm(i), when given,
+    is _norm(a_i) for the re-fit's rank test.
     """
     d, n = shape
     c = analysis(z)
     corr = np.abs(c)
-    excluded = np.zeros(n, dtype=bool)
+    excluded = None if table is None else np.zeros(n, dtype=bool)
     left = n  # columns not excluded yet
     picks: list[int] = []
     fit = None
@@ -241,18 +235,22 @@ def _greedy(
         if not left:
             break
         if fit is not None and picks:
-            fit.add(column(picks[-1]), gram(picks[-1]) if gram else None)
+            i = picks[-1]
+            fit.add(column(i), gram(i) if gram else None, norm(i) if norm else None)
             np.abs(fit.c if gram else analysis(fit.r), out=corr)
-        corr[excluded] = -1.0
-        i = int(np.argmax(corr))
+        if table is None:
+            corr[picks] = -1.0
+        else:
+            corr[excluded] = -1.0
+        i = int(corr.argmax())
         picks.append(i)
         if table is None:
             left -= 1
-            excluded[i] = True
         else:
             left -= table[i].size - int(np.count_nonzero(excluded[table[i]]))
             excluded[table[i]] = True
-    return SupportSet.from_iterable(picks, n), SupportSet.from_iterable(np.flatnonzero(excluded), n)
+    closure = picks if table is None else np.flatnonzero(excluded)
+    return SupportSet.from_iterable(picks, n), SupportSet.from_iterable(closure, n)
 
 
 def _greedy_over_atoms(
@@ -262,14 +260,14 @@ def _greedy_over_atoms(
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
 ) -> tuple[SupportSet, SupportSet]:
-    """_greedy over D's own atoms. A dense D lends its cached Gram columns;
-    the overcomplete DFT keeps one FFT D^H r per pick. Forcing the Gram path
-    on the DFT kept the fig2 sweep digests but cut the fig2-sweep benchmark
-    from a median of 107.0 to 100.9 ops/s (the FFT path won 3 of 4
-    alternating 15-s pairs) and raised its peak RSS from 51.2 to 53.0 MB
-    (2-CPU VM, OpenBLAS 0.3.31)."""
+    """_greedy over D's own atoms, with their cached norms. A dense D lends
+    its cached Gram columns; the overcomplete DFT keeps one FFT D^H r per
+    pick. Forcing the Gram path on the DFT kept the fig2 sweep digests but
+    cut the fig2-sweep benchmark from a median of 107.0 to 100.9 ops/s (the
+    FFT path won 3 of 4 alternating 15-s pairs) and raised its peak RSS from
+    51.2 to 53.0 MB (2-CPU VM, OpenBLAS 0.3.31)."""
     gram = None if D._fft else D.gram_column
-    return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram)
+    return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram, D.atom_norm)
 
 
 def omp_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:

@@ -176,7 +176,9 @@ def sscosamp(
     iteration of the same call already fitted, every later iteration repeats
     one of the recorded ones, in a cycle of period one or more. The loop then
     replays the recorded iterations through the same halting checks, with the
-    same trace entries, instead of computing them again.
+    same trace entries, instead of computing them again. Different merged
+    supports often shrink to the same support, so its orthonormal basis is
+    kept for the rest of the call and projected onto without another SVD.
     """
     y, M = _checked_measurements(y, M, D)
     if x_true is not None:
@@ -196,6 +198,7 @@ def sscosamp(
     stop_reason = STOP_MAX_ITERS
     iterations = 0
     fitted: list[tuple] = []  # (support, x, residual, res_norm, merged size, error) per fit
+    bases: dict = {}  # shrunk support -> its orthonormal basis, for project
     position: dict[tuple[int, ...], int] = {}  # merged support -> its entry in fitted
     replay = None  # the recorded cycle, once the run has entered one
     if res_norm <= halting.residual_tol * max(y_norm, 1.0):
@@ -210,7 +213,7 @@ def sscosamp(
                 if seen is None:
                     x_fit = ls_synthesize(M, D.matrix, merged, y)
                     support = select(config.scheme_shrink, D, x_fit)
-                    x = project(D.matrix, support, x_fit)
+                    x = project(D.matrix, support, x_fit, bases)
                     residual = y - M @ x
                     res_norm = float(np.linalg.norm(residual))
                     err = float(np.linalg.norm(x - x_true)) if x_true is not None else None

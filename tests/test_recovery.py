@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sigspace import (
+    Dictionary,
     STOP_MAX_ITERS,
     STOP_RESIDUAL,
     HaltingRule,
@@ -21,6 +22,7 @@ from sigspace import (
     sscosamp,
     zeta_factor,
 )
+from sigspace import linalg, recovery
 from sigspace.dictionaries import SALT_MEASUREMENT, SALT_SIGNAL
 
 
@@ -165,6 +167,45 @@ class TestSSCoSaMP:
             assert entry.residual_norm >= 0.0
             assert entry.error_norm is not None
         assert report.trace[-1].residual_norm == report.residual_norm
+
+    @pytest.mark.parametrize("selector", ("omp", "eps-omp"))
+    def test_one_svd_per_distinct_shrunk_support(self, selector, monkeypatch):
+        """Within one call, a shrunk support projected onto again reuses its
+        basis: one SVD per distinct support, and the same report as taking
+        a fresh SVD every time."""
+        projected, svds, repeats = [], [], 0
+        project_, orthonormal_range = recovery.project, linalg.orthonormal_range
+
+        def recording_project(D, T, z, *bases):
+            projected.append(T.indices)
+            return project_(D, T, z, *bases)
+
+        def counting_orthonormal_range(A):
+            svds.append(A.shape)
+            return orthonormal_range(A)
+
+        for seed in range(8):
+            rng = rng_from(700 + seed)
+            atoms = rng.standard_normal((48, 96))
+            D = Dictionary(atoms / np.linalg.norm(atoms, axis=0), unit_norm=True)
+            M = rng.standard_normal((32, 48)) / np.sqrt(32)
+            x = D.matrix[:, rng.choice(96, size=4, replace=False)] @ rng.standard_normal(4)
+            y = M @ x + 0.05 * np.linalg.norm(M @ x) * rng.standard_normal(32) / np.sqrt(32)
+            config = SSCoSaMPConfig.for_selector(selector, 4, eps=0.3)
+            projected.clear()
+            svds.clear()
+            with monkeypatch.context() as m:
+                m.setattr(recovery, "project", recording_project)
+                m.setattr(linalg, "orthonormal_range", counting_orthonormal_range)
+                report = sscosamp(y, M, D, config)
+            assert len(svds) == len(set(projected))
+            repeats += len(projected) - len(svds)
+            with monkeypatch.context() as m:
+                m.setattr(recovery, "project", lambda D, T, z, bases: project_(D, T, z))
+                fresh = sscosamp(y, M, D, config)
+            assert fresh.estimate.tobytes() == report.estimate.tobytes()
+            assert (fresh.support, fresh.trace) == (report.support, report.trace)
+        assert repeats > 0
 
 
 class TestReportSerialization:

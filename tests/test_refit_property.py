@@ -130,21 +130,30 @@ def test_gram_column_is_the_analysis_of_the_atom():
             assert not g.flags.writeable
 
 
-def test_gram_cache_keeps_at_most_d_recent_columns():
-    D = Dictionary(MATRICES["real"]())
+@pytest.mark.parametrize("name", ["real", "complex"])
+def test_gram_cache_computes_each_column_once(name):
+    D = Dictionary(MATRICES[name]())
+    analysis = D.analysis
+    computed = []
+
+    def recording_analysis(r):
+        if np.shares_memory(r, D.matrix):
+            computed.append(next(j for j in range(D.n) if D.matrix[:, j].tobytes() == r.tobytes()))
+        return analysis(r)
+
+    D.analysis = recording_analysis
     rng = rng_from(413)
-    touched = set()
     for _ in range(20):
-        z = rng.standard_normal(D.d)
+        z = _noise(rng, D.d, name == "complex")
         omp_select(D, z, 4)
         eps_omp_select(D, z, 4, 0.3)
-        assert len(D._gram_cache) <= D.d
-        touched |= set(D._gram_cache)
-    assert len(touched) > D.d
-    last = omp_select(D, rng.standard_normal(D.d), 3)
-    assert len(set(D._gram_cache) & set(last)) >= 2
+        assert len(D._gram_cache) <= D.n
+    assert len(computed) == len(set(computed)) == len(D._gram_cache) > D.d
+    assert set(computed) == set(D._gram_cache)
     for i, g in D._gram_cache.items():
-        assert g.tobytes() == D.analysis(D.matrix[:, i]).tobytes()
+        assert g.tobytes() == analysis(D.matrix[:, i]).tobytes()
+        assert not g.flags.writeable
+        assert D._norm_cache[i] == np.linalg.norm(D.matrix[:, i])
 
 
 def test_paths_without_gram_columns_leave_the_cache_empty():
