@@ -69,11 +69,12 @@ class Dictionary:
     load_dictionary marks a container whose payload equals it bit for bit. Any
     other matrix, whatever its kind tag, takes the dense product.
 
-    The Gram columns D^H d_i that the greedy schemes read on dense
-    dictionaries are cached as they are first computed and kept: at most n
-    columns, the whole n x n Gram matrix (n^2 entries, 8 MiB for a real
-    n = 1024), each computed once. The atom norms of the greedy schemes'
-    rank test are cached the same way.
+    On dense dictionaries the greedy schemes re-fit in coefficient space
+    (Batch-OMP): they read the Gram columns D^H d_i and the atom norms
+    ||d_i|| of their picks, never the atoms themselves. The Gram columns are
+    cached as they are first computed and kept: at most n columns, the whole
+    n x n Gram matrix (n^2 entries, 8 MiB for a real n = 1024), each
+    computed once. The atom norms are cached the same way.
     """
 
     matrix: np.ndarray

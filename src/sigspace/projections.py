@@ -125,47 +125,34 @@ class _Residual:
     """r = z - P z, P the projection onto the span of the columns added so far.
 
     The span is kept as an orthonormal basis that grows by at most one vector
-    per added column (the Batch-OMP re-fit), so adding a column costs O(d j)
-    for a basis of j vectors instead of an SVD of every column added so far.
-    The basis is stored row by row: row j is q_j.
-
-    Given c = A^H z, it also tracks c = A^H r without a product with A: it
-    keeps the row A^H q_j of every basis vector, built from the Gram column
-    A^H a of the added column (the Gram form of Batch-OMP), so each added
-    column costs O(n j) more and callers need not recompute A^H r.
+    per added column, so adding a column costs O(d j) for a basis of j
+    vectors instead of an SVD of every column added so far. The basis is
+    stored row by row: row j is q_j. This is the re-fit of the paths that
+    compute A^H r by one analysis per pick (the overcomplete DFT's FFT, the
+    measured atoms of eps_omp_recover); dense dictionaries use _GramResidual.
     """
 
-    def __init__(
-        self,
-        z: np.ndarray,
-        dtype: np.dtype,
-        capacity: int,
-        rcond: float,
-        c: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, z: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
         self.r = z.astype(dtype, copy=True)
         self._complex = self.r.dtype.kind == "c"
         self._rows = np.empty((capacity, z.shape[0]), dtype=dtype)
         self._rcond = rcond
         self.rank = 0
-        self.c = None if c is None else c.astype(dtype, copy=True)
-        self._crows = None if c is None else np.empty((capacity, c.shape[0]), dtype=dtype)
 
     @property
     def basis(self) -> np.ndarray:
         """The orthonormal basis, one vector per column."""
         return self._rows[: self.rank].T
 
-    def add(self, a: np.ndarray, g: np.ndarray | None = None, a_norm: float | None = None) -> None:
-        """Add the column a to the span and update r (and c, from g = A^H a).
+    def add(self, a: np.ndarray, a_norm: float | None = None) -> None:
+        """Add the column a to the span and update r.
 
         a is orthogonalized against the basis with two classical Gram-Schmidt
         passes, in place in the basis row it would take. When what is left has
         norm at most rcond * ||a|| (a_norm, when the caller has it), a already
         lies in the span (to the package rank cutoff) and adds no vector, so
         duplicated atoms collapse to one direction; the next column added
-        overwrites the row. Both passes together subtract h @ rows, h the sum
-        of their coefficients, so A^H q = (g - h @ A^H rows) / norm.
+        overwrites the row.
         """
         rank = self.rank
         if rank == self._rows.shape[0]:
@@ -174,23 +161,58 @@ class _Residual:
         q[...] = a
         if rank:
             rows = self._rows[:rank]
-            h = []  # the coefficients of both passes
             for _ in range(2):
-                h.append((rows @ q.conj()).conj() if self._complex else rows @ q)
-                q -= h[-1] @ rows
+                h = (rows @ q.conj()).conj() if self._complex else rows @ q
+                q -= h @ rows
         norm = _norm(q)
         if norm <= self._rcond * (_norm(a) if a_norm is None else a_norm):
             return
         q /= norm
-        step = np.vdot(q, self.r)
-        self.r -= q * step
-        if self.c is not None:
-            crow = self._crows[rank]
-            crow[...] = g
-            if rank:
-                crow -= (h[0] + h[1]) @ self._crows[:rank]
-            crow /= norm
-            self.c -= crow * step
+        self.r -= q * np.vdot(q, self.r)
+        self.rank += 1
+
+
+class _GramResidual:
+    """c = A^H r for r = z - P z, tracked in coefficient space (Batch-OMP).
+
+    Nothing of length d is kept. For each orthonormal direction q_j of the
+    span it keeps the row w_j = A^H q_j and the scalar s_j = q_j^H z, so that
+    c = A^H z - sum_j w_j s_j. Adding column a_i reads h_j = q_j^H a_i from the
+    rows (h_j is the conjugate of w_j[i]), and the new direction
+    q = (a_i - sum_j h_j q_j) / nu, nu^2 = ||a_i||^2 - ||h||^2, needs only
+    the Gram column g_i = A^H a_i: w = (g_i - h W) / nu and
+    s = (c0_i - h^H s) / nu, c0 = A^H z. Each added column costs O(n j) for
+    j directions. The squared subtraction cannot resolve a distance below
+    about sqrt(eps) * ||a_i||, so a column within sqrt(rcond) * ||a_i|| of
+    the span adds no direction.
+    """
+
+    def __init__(self, c: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
+        self._c0 = c
+        self.c = c.astype(dtype, copy=True)
+        self._rows = np.empty((capacity, c.shape[0]), dtype=dtype)
+        self._s = np.empty(capacity, dtype=dtype)
+        self._rcond = rcond
+        self.rank = 0
+
+    def add(self, i: int, g: np.ndarray, a_norm: float) -> None:
+        """Add column i, given its Gram column g = A^H a_i and a_norm = ||a_i||."""
+        rank = self.rank
+        if rank == self._rows.shape[0]:
+            return
+        rows = self._rows[:rank]
+        wi = rows[:, i]  # conj(h)
+        nu_sq = a_norm * a_norm - float(np.vdot(wi, wi).real)
+        if nu_sq <= self._rcond * a_norm * a_norm:
+            return
+        nu = math.sqrt(nu_sq)
+        w = self._rows[rank]
+        w[...] = g
+        if rank:
+            w -= wi.conj() @ rows
+        w /= nu
+        s = self._s[rank] = (self._c0[i] - wi @ self._s[:rank]) / nu
+        self.c -= w * s
         self.rank += 1
 
 
@@ -212,13 +234,17 @@ def _greedy(
     A^H r. Each of at most k rounds picks the column with the largest
     |a_i^* r| outside the exclusion mask (ties to the lowest index) and
     excludes table[i], or only i without a table. With refit the correlations
-    are recomputed against r = z - P_picks z before the next round, r being
-    updated one orthonormal direction per pick (see _Residual); without it
-    they stay those of z. Stops early once every column is excluded. Returns
-    the picks and the final exclusion mask (the closure), both as supports.
-    gram(i), the Gram column A^H a_i, makes the re-fit update A^H r from the
-    picks' Gram columns; analysis then runs once, on z. norm(i), when given,
-    is _norm(a_i) for the re-fit's rank test.
+    are recomputed against r = z - P_picks z before the next round; without
+    it they stay those of z. Stops early once every column is excluded.
+    Returns the picks and the final exclusion mask (the closure), both as
+    supports.
+
+    The re-fit takes one of two forms. Given gram(i), the Gram column
+    A^H a_i, and norm(i) = ||a_i||, it is Batch-OMP in coefficient space
+    (_GramResidual): analysis runs once, on z, column is never called and
+    A^H r is updated from the picks' Gram columns. Otherwise r is kept one
+    orthonormal direction per pick (_Residual) and analysis(r) runs once per
+    pick; norm(i), when given, is _norm(a_i) for its rank test.
     """
     d, n = shape
     c = analysis(z)
@@ -230,14 +256,19 @@ def _greedy(
     if refit:
         # only the picks before the last are re-fitted, and at most d directions exist
         dtype = np.result_type(c, z)
-        fit = _Residual(z, dtype, min(k - 1, d), rank_rcond(shape), c if gram else None)
+        args = (dtype, min(k - 1, d), rank_rcond(shape))
+        fit = _GramResidual(c, *args) if gram else _Residual(z, *args)
     for _ in range(k):
         if not left:
             break
         if fit is not None and picks:
             i = picks[-1]
-            fit.add(column(i), gram(i) if gram else None, norm(i) if norm else None)
-            np.abs(fit.c if gram else analysis(fit.r), out=corr)
+            if gram:
+                fit.add(i, gram(i), norm(i))
+                np.abs(fit.c, out=corr)
+            else:
+                fit.add(column(i), norm(i) if norm else None)
+                np.abs(analysis(fit.r), out=corr)
         if table is None:
             corr[picks] = -1.0
         else:
@@ -261,11 +292,12 @@ def _greedy_over_atoms(
     refit: bool = True,
 ) -> tuple[SupportSet, SupportSet]:
     """_greedy over D's own atoms, with their cached norms. A dense D lends
-    its cached Gram columns; the overcomplete DFT keeps one FFT D^H r per
-    pick. Forcing the Gram path on the DFT kept the fig2 sweep digests but
-    cut the fig2-sweep benchmark from a median of 107.0 to 100.9 ops/s (the
-    FFT path won 3 of 4 alternating 15-s pairs) and raised its peak RSS from
-    51.2 to 53.0 MB (2-CPU VM, OpenBLAS 0.3.31)."""
+    its cached Gram columns (the coefficient-space re-fit); the overcomplete
+    DFT keeps one FFT D^H r per pick. Forcing the Gram path on the DFT kept
+    the fig2 sweep digests and its speed (two alternating 8-s fig2-sweep
+    pairs split one each: 122.8 vs 117.8 and 119.5 vs 123.9 ops/s, FFT
+    first) but raised peak RSS from 51.3 to 63.0 MB, the Gram cache (2-CPU
+    VM, OpenBLAS 0.3.31)."""
     gram = None if D._fft else D.gram_column
     return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram, D.atom_norm)
 

@@ -3,10 +3,20 @@
 ``_Residual`` and ``_greedy`` below are the loop as it stood before it
 orthogonalized each new column in place in its own basis row, read the rank
 test's atom norm from ``Dictionary.atom_norm``, masked picks by index when
-there is no exclusion table and took ``corr.argmax()``. Those changes do no
-arithmetic of their own, so both loops compute the same bits: the picks, the
-closures and the final residual r, correlations c and basis must be equal
-byte for byte, on every instance.
+there is no exclusion table, took ``corr.argmax()`` and re-fitted dense
+dictionaries in coefficient space. The first four changes do no arithmetic
+of their own, so on the paths that compute A^H r by one analysis per pick
+(and without the re-fit) both loops compute the same bits: the picks, the
+closures and the final residual r and basis must be equal byte for byte, on
+every instance.
+
+With Gram columns the re-fit keeps no r and no basis (``_GramResidual``), and
+its correlations round differently from the reference's. Its pick t must
+equal the reference's pick t whenever the reference's max|A^H r| before
+that pick exceeds 1e-9 max(||z||, 1) max||a_i||: only a rounding-level
+residual may decide a pick differently. After every re-fitted pick, its
+tracked A^H r must equal the dense A^H (z - P z), P the SVD projection onto
+its picks so far, within 1e-12 max(||z||, 1) max||a_i||.
 
 The instances cover real and complex dictionaries, duplicated atoms, a
 rank-deficient dictionary, zero atoms and the overcomplete DFT (its FFT
@@ -14,6 +24,10 @@ analysis), with and without Gram columns, with and without exclusion tables,
 with and without the re-fit, on generic, exactly sparse and zero signals,
 for k from 1 to past the rank. The measured atoms of eps_omp_recover, which
 have no cached norms, are covered too.
+
+End to end, on seeded noisy problems whose residuals stay above rounding
+level, sscosamp and eps_omp_recover must give the same outputs bit for bit
+whether they run on the core or on the reference loop.
 """
 
 import math
@@ -25,17 +39,26 @@ import pytest
 
 from sigspace import (
     Dictionary,
+    SSCoSaMPConfig,
     SupportSet,
     eps_omp_recover,
     eps_omp_select,
     eps_threshold_select,
+    gaussian_measurements,
     omp_select,
     overcomplete_dft,
+    project,
     rank_rcond,
     rng_from,
+    sscosamp,
 )
-from sigspace import projections
+from sigspace import projections, recovery
+from sigspace.dictionaries import SALT_NOISE, seed_sequence
+from sigspace.experiments import add_noise
 from sigspace.linalg import _adjoint_apply, _norm
+
+PICK_TOL = 1e-9  # a reference correlation peak below this scale decides a pick by rounding
+C_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # reference loop
@@ -231,9 +254,66 @@ def _assert_same(got, expected):
     assert fit.r.dtype == ref_fit.r.dtype
     assert fit.r.tobytes() == ref_fit.r.tobytes()
     assert fit.basis.tobytes() == ref_fit.basis.tobytes()
-    assert (fit.c is None) == (ref_fit.c is None)
-    if fit.c is not None:
-        assert fit.c.tobytes() == ref_fit.c.tobytes()
+    assert ref_fit.c is None  # runs with Gram columns are compared by _assert_gram_matches
+
+
+def _gram_runs(monkeypatch, D, args):
+    """The reference's and the core's runs of one Gram instance.
+
+    Each run is (picks in pick order, closure); the reference's also lists
+    its max|A^H r| before each pick, and the core's the A^H r it tracked
+    after each re-fitted pick.
+    """
+    shape, column, analysis, z, k, table, refit, gram = args
+    peaks = [float(np.abs(analysis(z)).max())]
+    cs = []
+
+    class Reference(_Residual):
+        def add(self, a, g=None):
+            super().add(a, g)
+            peaks.append(float(np.abs(self.c).max()))
+
+    class Core(projections._GramResidual):
+        def add(self, i, g, a_norm):
+            super().add(i, g, a_norm)
+            cs.append(self.c.copy())
+
+    def run(greedy, *tail):
+        order = []
+
+        def recording_gram(i):
+            order.append(i)
+            return gram(i)
+
+        picks, closure = greedy(shape, column, analysis, z, k, table, refit, recording_gram, *tail)
+        order += sorted(set(picks) - set(order))  # the last pick is never re-fitted
+        return order, closure
+
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules[__name__], "_Residual", Reference)
+        m.setattr(projections, "_GramResidual", Core)
+        expected = run(_greedy)
+        got = run(projections._greedy, D.atom_norm)
+    return got, cs, expected, peaks
+
+
+def _assert_gram_matches(monkeypatch, D, args):
+    """A re-fitted Gram instance's picks and tracked A^H r against the
+    reference; True when a rounding-level residual decided a pick differently."""
+    (order, closure), cs, (ref_order, ref_closure), peaks = _gram_runs(monkeypatch, D, args)
+    z = args[3]
+    A = D.matrix
+    scale = max(_norm(z), 1.0) * D.atom_norms().max()
+    for pick, ref_pick, peak in zip(order, ref_order, peaks):
+        if peak > PICK_TOL * scale:
+            assert pick == ref_pick
+    if order == ref_order:
+        assert closure == ref_closure
+    assert len(cs) == len(order) - 1
+    for t, c in enumerate(cs, start=1):
+        r = z - project(A, SupportSet.from_iterable(order[:t], D.n), z)
+        assert np.linalg.norm(c - _adjoint_apply(A, r)) <= C_TOL * scale
+    return order != ref_order
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +348,37 @@ def test_pick_loop_matches_the_reference(name, mode, use_gram, monkeypatch):
             if table is None and k > min(D.d, D.n):
                 continue
             args = (D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram)
+            compared += 1
+            if use_gram and refit:
+                _assert_gram_matches(monkeypatch, D, args)
+                continue
             expected = _run(monkeypatch, sys.modules[__name__], _greedy, *args)
             got = _run(monkeypatch, projections, projections._greedy, *args, D.atom_norm)
             _assert_same(got, expected)
             _assert_same(_run(monkeypatch, projections, projections._greedy, *args), expected)
-            compared += 1
     assert compared >= 15
 
 
 @pytest.mark.parametrize("name", sorted(DICTIONARIES))
-def test_selections_match_the_reference(name):
+def test_selections_match_the_reference(name, monkeypatch):
+    """The public selections: byte for byte on the DFT's FFT path and without
+    the re-fit, by the Gram rule of _assert_gram_matches on dense dictionaries."""
     D = DICTIONARIES[name]()
+
+    def refitted(z, k, table=None):
+        if D._fft:
+            return _greedy_over_atoms(D, z, k, table)
+        args = (D.matrix.shape, D.atom, D.analysis, z, k, table, True, D.gram_column)
+        _assert_gram_matches(monkeypatch, D, args)
+        return projections._greedy(*args, D.atom_norm)
+
     for z in _signals(D, 540 + len(name)):
         for k in (1, 3, min(D.d, D.n)):
-            assert omp_select(D, z, k) == _greedy_over_atoms(D, z, k)[0]
+            assert omp_select(D, z, k) == refitted(z, k)[0]
         for eps in () if name == "zero" else (0.0, math.sqrt(0.1)):
             table = D.neighbor_table(eps)
             for k in (1, 3, D.d + 2):
-                assert eps_omp_select(D, z, k, eps) == _greedy_over_atoms(D, z, k, table)[1]
+                assert eps_omp_select(D, z, k, eps) == refitted(z, k, table)[1]
                 assert eps_threshold_select(D, z, k, eps) == _greedy_over_atoms(D, z, k, table, False)[1]
 
 
@@ -310,3 +403,57 @@ def test_measured_atoms_match_the_reference(name, monkeypatch):
                 expected = _run(monkeypatch, sys.modules[__name__], _greedy, *args)
                 _assert_same(_run(monkeypatch, projections, projections._greedy, *args), expected)
                 assert eps_omp_recover(y, M, D, k, eps)[1] == expected[1]
+
+
+@pytest.mark.parametrize("field_tag", ("real", "complex"))
+def test_recoveries_match_the_reference_loop(field_tag, monkeypatch):
+    """sscosamp with omp and eps-omp and eps_omp_recover, on the core and on
+    the reference loop: equal estimate bytes, supports, iterations, stop
+    reasons and traces. Runs in-process, so it holds on any BLAS."""
+    d, n, m, k, eps = 64, 128, 40, 4, 0.8
+    complex_field = field_tag == "complex"
+    D = Dictionary(_unit_columns(_noise(rng_from(560), (d, n), complex_field)))
+    configs = [SSCoSaMPConfig.for_selector(kind, k, eps) for kind in ("omp", "eps-omp")]
+    problems = []
+    for seed in range(561, 567):
+        M = gaussian_measurements(m, d, seed, field_tag).matrix
+        support = rng_from(seed).choice(n, size=k, replace=False)
+        x = D.matrix[:, support] @ _noise(rng_from(seed, 1), k, complex_field)
+        y = M @ x
+        problems.append((add_noise(y, 0.05 * _norm(y), seed_sequence(seed, SALT_NOISE)), M, x))
+
+    def outputs():
+        out = []
+        for y, M, x in problems:
+            for config in configs:
+                report = sscosamp(y, M, D, config, x_true=x)
+                out.append((report.estimate.tobytes(), report.support, report.iterations,
+                            report.stop_reason, report.residual_norm, report.trace))
+            x_hat, support = eps_omp_recover(y, M, D, k, eps)
+            out.append((x_hat.tobytes(), support))
+        return out
+
+    fits = []
+
+    class Core(projections._GramResidual):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fits.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(projections, "_GramResidual", Core)
+        got = outputs()
+    assert fits  # the core re-fitted on the Gram path
+    references = []
+
+    def reference_greedy(*args, greedy=_greedy):
+        references.append(args)
+        return greedy(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(projections, "_greedy_over_atoms", _greedy_over_atoms)
+        patch.setattr(sys.modules[__name__], "_greedy", reference_greedy)
+        patch.setattr(recovery, "_greedy", reference_greedy)
+        expected = outputs()
+    assert references
+    assert got == expected
