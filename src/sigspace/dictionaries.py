@@ -70,11 +70,12 @@ class Dictionary:
     other matrix, whatever its kind tag, takes the dense product.
 
     On dense dictionaries the greedy schemes re-fit in coefficient space
-    (Batch-OMP): they read the Gram columns D^H d_i and the atom norms
-    ||d_i|| of their picks, never the atoms themselves. The Gram columns are
-    cached as they are first computed and kept: at most n columns, the whole
-    n x n Gram matrix (n^2 entries, 8 MiB for a real n = 1024), each
-    computed once. The atom norms are cached the same way.
+    (Batch-OMP): they read the Gram columns D^H d_i of their picks, and the
+    atoms themselves only from a pick near the span of the earlier ones on.
+    The Gram columns are cached as they are first computed and kept: at most
+    n columns, the whole n x n Gram matrix (n^2 entries, 8 MiB for a real
+    n = 1024), each computed once. The atom norms, which the overcomplete
+    DFT's re-fit reads, are cached the same way.
     """
 
     matrix: np.ndarray

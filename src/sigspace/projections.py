@@ -129,7 +129,8 @@ class _Residual:
     vectors instead of an SVD of every column added so far. The basis is
     stored row by row: row j is q_j. This is the re-fit of the paths that
     compute A^H r by one analysis per pick (the overcomplete DFT's FFT, the
-    measured atoms of eps_omp_recover); dense dictionaries use _GramResidual.
+    measured atoms of eps_omp_recover) and of dense dictionaries from a pick
+    near the span of the earlier ones on (_GramResidual).
     """
 
     def __init__(self, z: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
@@ -175,45 +176,80 @@ class _Residual:
 class _GramResidual:
     """c = A^H r for r = z - P z, tracked in coefficient space (Batch-OMP).
 
-    Nothing of length d is kept. For each orthonormal direction q_j of the
-    span it keeps the row w_j = A^H q_j and the scalar s_j = q_j^H z, so that
-    c = A^H z - sum_j w_j s_j. Adding column a_i reads h_j = q_j^H a_i from the
-    rows (h_j is the conjugate of w_j[i]), and the new direction
-    q = (a_i - sum_j h_j q_j) / nu, nu^2 = ||a_i||^2 - ||h||^2, needs only
-    the Gram column g_i = A^H a_i: w = (g_i - h W) / nu and
-    s = (c0_i - h^H s) / nu, c0 = A^H z. Each added column costs O(n j) for
-    j directions. The squared subtraction cannot resolve a distance below
-    about sqrt(eps) * ||a_i||, so a column within sqrt(rcond) * ||a_i|| of
-    the span adds no direction.
+    While the picks stay well conditioned nothing of length d is kept. For
+    each orthonormal direction q_j of the span it keeps the row w_j = A^H q_j
+    and the scalar s_j = q_j^H z, so that c = A^H z - sum_j w_j s_j. Adding
+    column a_i reads h_j = q_j^H a_i from the rows (h_j is the conjugate of
+    w_j[i]), and the new direction q = (a_i - sum_j h_j q_j) / nu,
+    nu^2 = ||a_i||^2 - ||h||^2, needs only the Gram column g_i = A^H a_i:
+    ||a_i||^2 = g_i[i], w = (g_i - h W) / nu and s = (c0_i - h^H s) / nu,
+    c0 = A^H z. Each added column costs O(n j) for j directions.
+
+    The squared subtraction loses accuracy as nu / ||a_i|| falls: its
+    rounding error, about eps ||a_i||^2 times a growth with the conditioning
+    of the earlier picks, is divided by nu^2 in w s. So a column with
+    nu^2 <= rcond ||a_i||^2 lies in the span and adds no direction, and a
+    column with nu < NEAR_SPAN ||a_i|| hands the re-fit to the signal-space
+    _Residual, rebuilt from column(j) for the columns that added a
+    direction: it makes the rank test, and c = analysis(r) from then on.
     """
 
-    def __init__(self, c: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
+    NEAR_SPAN = 0.1
+
+    def __init__(
+        self,
+        z: np.ndarray,
+        c: np.ndarray,
+        column: Callable[[int], np.ndarray],
+        analysis: Callable[[np.ndarray], np.ndarray],
+        dtype: np.dtype,
+        capacity: int,
+        rcond: float,
+    ) -> None:
+        self._z = z
         self._c0 = c
+        self._column = column
+        self._analysis = analysis
         self.c = c.astype(dtype, copy=True)
         self._rows = np.empty((capacity, c.shape[0]), dtype=dtype)
         self._s = np.empty(capacity, dtype=dtype)
         self._rcond = rcond
+        self._taken: list[int] = []  # the columns that added a direction
+        self._residual: _Residual | None = None
         self.rank = 0
 
-    def add(self, i: int, g: np.ndarray, a_norm: float) -> None:
-        """Add column i, given its Gram column g = A^H a_i and a_norm = ||a_i||."""
-        rank = self.rank
-        if rank == self._rows.shape[0]:
-            return
-        rows = self._rows[:rank]
-        wi = rows[:, i]  # conj(h)
-        nu_sq = a_norm * a_norm - float(np.vdot(wi, wi).real)
-        if nu_sq <= self._rcond * a_norm * a_norm:
-            return
-        nu = math.sqrt(nu_sq)
-        w = self._rows[rank]
-        w[...] = g
-        if rank:
-            w -= wi.conj() @ rows
-        w /= nu
-        s = self._s[rank] = (self._c0[i] - wi @ self._s[:rank]) / nu
-        self.c -= w * s
-        self.rank += 1
+    def add(self, i: int, g: np.ndarray) -> None:
+        """Add column i, given its Gram column g = A^H a_i."""
+        fit = self._residual
+        if fit is None:
+            rank = self.rank
+            if rank == self._rows.shape[0]:
+                return
+            rows = self._rows[:rank]
+            wi = rows[:, i]  # conj(h)
+            a_sq = float(g[i].real)
+            nu_sq = a_sq - float(np.vdot(wi, wi).real)
+            if nu_sq <= self._rcond * a_sq:
+                return
+            if nu_sq >= self.NEAR_SPAN * self.NEAR_SPAN * a_sq:
+                nu = math.sqrt(nu_sq)
+                w = self._rows[rank]
+                w[...] = g
+                if rank:
+                    w -= wi.conj() @ rows
+                w /= nu
+                s = self._s[rank] = (self._c0[i] - wi @ self._s[:rank]) / nu
+                self.c -= w * s
+                self._taken.append(i)
+                self.rank += 1
+                return
+            # near the span: the signal-space re-fit takes over from here on
+            fit = self._residual = _Residual(self._z, self.c.dtype, self._rows.shape[0], self._rcond)
+            for j in self._taken:
+                fit.add(self._column(j))
+        fit.add(self._column(i))
+        self.c = self._analysis(fit.r)
+        self.rank = fit.rank
 
 
 def _greedy(
@@ -240,9 +276,10 @@ def _greedy(
     supports.
 
     The re-fit takes one of two forms. Given gram(i), the Gram column
-    A^H a_i, and norm(i) = ||a_i||, it is Batch-OMP in coefficient space
-    (_GramResidual): analysis runs once, on z, column is never called and
-    A^H r is updated from the picks' Gram columns. Otherwise r is kept one
+    A^H a_i, it is Batch-OMP in coefficient space (_GramResidual): analysis
+    runs once, on z, and A^H r is updated from the picks' Gram columns;
+    column and analysis run again only if a pick near the span of the
+    earlier ones hands the re-fit to signal space. Otherwise r is kept one
     orthonormal direction per pick (_Residual) and analysis(r) runs once per
     pick; norm(i), when given, is _norm(a_i) for its rank test.
     """
@@ -257,14 +294,14 @@ def _greedy(
         # only the picks before the last are re-fitted, and at most d directions exist
         dtype = np.result_type(c, z)
         args = (dtype, min(k - 1, d), rank_rcond(shape))
-        fit = _GramResidual(c, *args) if gram else _Residual(z, *args)
+        fit = _GramResidual(z, c, column, analysis, *args) if gram else _Residual(z, *args)
     for _ in range(k):
         if not left:
             break
         if fit is not None and picks:
             i = picks[-1]
             if gram:
-                fit.add(i, gram(i), norm(i))
+                fit.add(i, gram(i))
                 np.abs(fit.c, out=corr)
             else:
                 fit.add(column(i), norm(i) if norm else None)
@@ -291,13 +328,11 @@ def _greedy_over_atoms(
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
 ) -> tuple[SupportSet, SupportSet]:
-    """_greedy over D's own atoms, with their cached norms. A dense D lends
-    its cached Gram columns (the coefficient-space re-fit); the overcomplete
-    DFT keeps one FFT D^H r per pick. Forcing the Gram path on the DFT kept
-    the fig2 sweep digests and its speed (two alternating 8-s fig2-sweep
-    pairs split one each: 122.8 vs 117.8 and 119.5 vs 123.9 ops/s, FFT
-    first) but raised peak RSS from 51.3 to 63.0 MB, the Gram cache (2-CPU
-    VM, OpenBLAS 0.3.31)."""
+    """_greedy over D's own atoms. A dense D lends its cached Gram columns
+    (the coefficient-space re-fit); the overcomplete DFT keeps one FFT D^H r
+    per pick and its cached atom norms. Forcing the Gram path on the DFT
+    kept the fig2 sweep digests but raised peak RSS from 51.3 to 63.0 MB,
+    the Gram cache (2-CPU VM, OpenBLAS 0.3.31)."""
     gram = None if D._fft else D.gram_column
     return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram, D.atom_norm)
 

@@ -10,8 +10,9 @@ of their own, so on the paths that compute A^H r by one analysis per pick
 closures and the final residual r and basis must be equal byte for byte, on
 every instance.
 
-With Gram columns the re-fit keeps no r and no basis (``_GramResidual``), and
-its correlations round differently from the reference's. Its pick t must
+With Gram columns the re-fit keeps no r and no basis (``_GramResidual``)
+until a pick near the span hands it to signal space, and its correlations
+round differently from the reference's. Its pick t must
 equal the reference's pick t whenever the reference's max|A^H r| before
 that pick exceeds 1e-9 max(||z||, 1) max||a_i||: only a rounding-level
 residual may decide a pick differently. After every re-fitted pick, its
@@ -274,8 +275,8 @@ def _gram_runs(monkeypatch, D, args):
             peaks.append(float(np.abs(self.c).max()))
 
     class Core(projections._GramResidual):
-        def add(self, i, g, a_norm):
-            super().add(i, g, a_norm)
+        def add(self, i, g):
+            super().add(i, g)
             cs.append(self.c.copy())
 
     def run(greedy, *tail):

@@ -8,16 +8,14 @@ a rank-deficient dictionary, a zero column) must add no basis vector and no
 NaN.
 
 ``projections._GramResidual``, the re-fit of dense dictionaries, keeps only
-A^H r. After every added column it must equal ``A^H (z - project(A, picks,
-z))``, an exact duplicate of a picked atom must add no row, and its rank
-must never exceed that of the picked columns or of A. Its picks are OMP's,
-past the rank: the coefficient-space re-fit loses accuracy with the
-conditioning of the picks, as Cholesky-based Batch-OMP does, and OMP's
-picks are well conditioned until the residual reaches rounding level. (On
-random pick orders its A^H r came within a factor 2 of the bound on the
-real 12 x 24 dictionary, and the rank test there held only by the sign of
-a rounding error.) The signals of the dense twin of the 16x overcomplete
-DFT, whose neighbouring atoms are nearly collinear, are clustered.
+A^H r while the picks are well conditioned and hands a pick near the span of
+the earlier ones to a signal-space ``_Residual``. After every added column
+its A^H r must equal ``A^H (z - project(A, picks, z))``, its rank must equal
+that of the picked columns and never exceed that of A, and an exact
+duplicate of a picked atom must add no row. It runs on the random pick
+orders of ``_Residual`` and, as extra ids, on OMP's picks past the rank.
+The signals of the dense twin of the 16x overcomplete DFT, whose
+neighbouring atoms are nearly collinear, are clustered.
 
 Dense dictionaries feed the greedy core their cached Gram columns
 (``Dictionary.gram_column``); the overcomplete DFT, the measured atoms of
@@ -43,7 +41,7 @@ from sigspace import (
 from sigspace import projections
 from sigspace.dictionaries import SALT_NOISE, seed_sequence
 from sigspace.experiments import add_noise, gen_sparse_signal
-from sigspace.linalg import _adjoint_apply, _norm
+from sigspace.linalg import _adjoint_apply
 
 TOL = 1e-12
 
@@ -124,23 +122,26 @@ def _clustered_signal(A, complex_signal):
 
 @pytest.mark.parametrize("name", sorted(MATRICES))
 @pytest.mark.parametrize(
-    "complex_signal, gram",
-    [(False, False), (True, False), (False, True), (True, True)],
-    ids=["False", "True", "False-gram", "True-gram"],
+    "complex_signal, gram, omp_order",
+    [(False, False, False), (True, False, False), (False, True, False), (True, True, False),
+     (False, True, True), (True, True, True)],
+    ids=["False", "True", "False-gram", "True-gram", "False-gram-omp", "True-gram-omp"],
 )
-def test_residual_tracks_the_dense_projection(name, complex_signal, gram):
+def test_residual_tracks_the_dense_projection(name, complex_signal, gram, omp_order):
     A = MATRICES[name]()
     if name == "dft16":
         z = _clustered_signal(A, complex_signal)
     else:
         z = _noise(rng_from(405), A.shape[0], complex_signal)
-    picks = _omp_order(A, z) if gram else _pick_order(A, 406)
+    picks = _omp_order(A, z) if omp_order else _pick_order(A, 406)
     if name == "zero":
         assert {2, 9} & set(picks)
     dtype = np.result_type(A, z)
     AH = A.conj().T
     if gram:
-        fit = projections._GramResidual(AH @ z, dtype, len(picks), rank_rcond(A.shape))
+        fit = projections._GramResidual(
+            z, AH @ z, lambda i: A[:, i], lambda r: AH @ r, dtype, len(picks), rank_rcond(A.shape)
+        )
     else:
         fit = projections._Residual(z, dtype, len(picks), rank_rcond(A.shape))
     z_norm = np.linalg.norm(z)
@@ -149,7 +150,7 @@ def test_residual_tracks_the_dense_projection(name, complex_signal, gram):
     for j, i in enumerate(picks, start=1):
         before = fit.rank
         if gram:
-            fit.add(i, AH @ A[:, i], _norm(A[:, i]))
+            fit.add(i, AH @ A[:, i])
         else:
             fit.add(A[:, i])
         T = SupportSet.from_iterable(picks[:j], A.shape[1])
@@ -158,14 +159,13 @@ def test_residual_tracks_the_dense_projection(name, complex_signal, gram):
         if gram:
             assert np.isfinite(fit.c).all()
             assert np.linalg.norm(fit.c - AH @ r) <= c_tol
-            assert fit.rank <= min(rank, rank_A)
         else:
             assert np.isfinite(fit.r).all()
             assert np.linalg.norm(fit.r - r) <= TOL * z_norm
             Q = fit.basis
             assert Q.shape == (A.shape[0], fit.rank)
             assert np.linalg.norm(Q.conj().T @ Q - np.eye(fit.rank), 2) <= TOL
-            assert fit.rank == rank
+        assert fit.rank == rank <= rank_A
         if any(A[:, i].tobytes() == A[:, p].tobytes() for p in picks[: j - 1]):
             assert fit.rank == before
         assert fit.rank - before in (0, 1)
@@ -203,7 +203,7 @@ def test_gram_cache_computes_each_column_once(name):
     for i, g in D._gram_cache.items():
         assert g.tobytes() == analysis(D.matrix[:, i]).tobytes()
         assert not g.flags.writeable
-        assert D._norm_cache[i] == np.linalg.norm(D.matrix[:, i])
+    assert not D._norm_cache  # the Gram path reads ||d_i||^2 from g_i[i]
 
 
 def test_paths_without_gram_columns_leave_the_cache_empty():
@@ -212,6 +212,9 @@ def test_paths_without_gram_columns_leave_the_cache_empty():
     omp_select(D, z, 5)
     eps_omp_select(D, z, 5, 0.3)
     assert len(D._gram_cache) == 0
+    assert D._norm_cache  # the FFT path's rank test reads the cached norms
+    for i, norm in D._norm_cache.items():
+        assert norm == np.linalg.norm(D.matrix[:, i])
     D = Dictionary(MATRICES["real"]())
     z = z[: D.d]
     eps_threshold_select(D, z, 5, 0.3)
@@ -235,22 +238,31 @@ def test_dependent_columns_add_no_vector():
 
 @pytest.mark.parametrize("scale", (1e-3, 1.0, 1e3))
 def test_rank_cutoffs(scale):
-    """The Gram path drops a column within sqrt(rcond) ||a|| of the span and
-    keeps one ten times farther; the signal-space path drops only a column
-    within rcond ||a||, so it keeps both. Both cutoffs scale with ||a||."""
-    for distance, gram_rank in ((0.3, 1), (10.0, 2)):
+    """The Gram path drops a column within sqrt(rcond) ||a|| of the span,
+    hands one ten times farther to the signal-space re-fit, which keeps it
+    (its own cutoff is rcond ||a||) and then tracks A^H r as analysis(r), and
+    keeps a column at 0.5 ||a|| in coefficient space. The signal-space path
+    keeps all three. Every cutoff scales with ||a||."""
+    rcond = rank_rcond((3, 2))
+    for distance, gram_rank, handed_over in (
+        (0.3 * np.sqrt(rcond), 1, False),
+        (10.0 * np.sqrt(rcond), 2, True),
+        (0.5, 2, False),
+    ):
         A = np.zeros((3, 2))
-        rcond = rank_rcond(A.shape)
         A[0, 0] = scale
-        A[:, 1] = scale * np.array([1.0, distance * np.sqrt(rcond), 0.0])
+        A[:, 1] = scale * np.array([1.0, distance, 0.0])
         z = np.array([1.0, 2.0, 3.0])
-        fit = projections._GramResidual(A.T @ z, A.dtype, 2, rcond)
+        fit = projections._GramResidual(z, A.T @ z, lambda i: A[:, i], lambda r: A.T @ r, A.dtype, 2, rcond)
         residual = projections._Residual(z, A.dtype, 2, rcond)
         for i in range(2):
-            fit.add(i, A.T @ A[:, i], _norm(A[:, i]))
+            fit.add(i, A.T @ A[:, i])
             residual.add(A[:, i])
         assert fit.rank == gram_rank
         assert residual.rank == 2
+        assert (fit._residual is not None) == handed_over
+        if handed_over:
+            assert fit.c.tobytes() == (A.T @ residual.r).tobytes()
 
 
 def test_full_span_stops_growing():
