@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import _adjoint_apply, _norm, _require_finite
+from .linalg import _adjoint_apply
 
 # Salts for derived seed streams. Fixed for the life of the file format.
 SALT_SIGNAL = 1
@@ -69,13 +69,13 @@ class Dictionary:
     load_dictionary marks a container whose payload equals it bit for bit. Any
     other matrix, whatever its kind tag, takes the dense product.
 
-    On dense dictionaries the greedy schemes re-fit in coefficient space
-    (Batch-OMP): they read the Gram columns D^H d_i of their picks, and the
-    atoms themselves only from a pick near the span of the earlier ones on.
-    The Gram columns are cached as they are first computed and kept: at most
-    n columns, the whole n x n Gram matrix (n^2 entries, 8 MiB for a real
-    n = 1024), each computed once. The atom norms, which the overcomplete
-    DFT's re-fit reads, are cached the same way.
+    The greedy schemes re-fit in coefficient space (Batch-OMP): they read the
+    Gram columns D^H d_i of their picks, and the atoms themselves only from a
+    pick near the span of the earlier ones on. A dense dictionary caches each
+    Gram column as it is first computed and keeps it: at most n columns, the
+    whole n x n Gram matrix (n^2 entries, 8 MiB for a real n = 1024), each
+    computed once. The overcomplete DFT's Gram matrix is circulant, so it
+    keeps one row and rolls it.
     """
 
     matrix: np.ndarray
@@ -85,7 +85,6 @@ class Dictionary:
     _neighbor_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _support_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _gram_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _fft: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -128,20 +127,21 @@ class Dictionary:
         return np.fft.fft(r, self.n) / math.sqrt(self.d)
 
     def gram_column(self, i: int) -> np.ndarray:
-        """D^H d_i, read-only, computed by analysis on first use and kept."""
-        g = self._gram_cache.get(i)
-        if g is None:
-            g = self.analysis(self.matrix[:, i])
-            g.flags.writeable = False
-            self._gram_cache[i] = g
-        return g
+        """D^H d_i, read-only, computed by analysis on first use and kept.
 
-    def atom_norm(self, i: int) -> float:
-        """||d_i|| as linalg._norm computes it, on first use, then kept."""
-        norm = self._norm_cache.get(i)
-        if norm is None:
-            norm = self._norm_cache[i] = _norm(self.matrix[:, i])
-        return norm
+        <d_j, d_i> of the overcomplete DFT depends only on (j - i) mod n, so
+        its only cached entry is g_0 = D^H d_0 and column i is g_0 rolled by i.
+        """
+        key = 0 if self._fft else i
+        g = self._gram_cache.get(key)
+        if g is None:
+            g = self.analysis(self.matrix[:, key])
+            g.flags.writeable = False
+            self._gram_cache[key] = g
+        if self._fft:
+            g = np.roll(g, i)
+            g.flags.writeable = False
+        return g
 
     def correlation_rows(self, indices: np.ndarray) -> np.ndarray:
         """|<d_i, d_j>| / (||d_i|| ||d_j||) for j in indices, all i; shape (len(indices), n)."""
@@ -188,18 +188,14 @@ class Dictionary:
 
 @dataclass(eq=False)
 class MeasurementModel:
-    """An m x d measurement operator plus the assumed noise-norm bound."""
+    """An m x d measurement operator."""
 
     matrix: np.ndarray
-    noise_bound: float = 0.0
 
     def __post_init__(self) -> None:
         self.matrix = np.asarray(self.matrix)
         if self.matrix.ndim != 2:
             raise ValueError("measurement matrix must be 2-D")
-        _require_finite(noise_bound=self.noise_bound)
-        if self.noise_bound < 0:
-            raise ValueError("noise bound must be nonnegative")
 
     @property
     def m(self) -> int:
@@ -251,7 +247,6 @@ def gaussian_measurements(
     d: int,
     seed: int | np.random.SeedSequence,
     field_tag: str = "real",
-    noise_bound: float = 0.0,
 ) -> MeasurementModel:
     """i.i.d. Gaussian measurement operator with E|entry|^2 = 1/m.
 
@@ -268,7 +263,7 @@ def gaussian_measurements(
     mat = np.empty((m, d), dtype=dtype)
     for j, child in enumerate(children):
         mat[:, j] = _gaussian_column(child, m, field_tag)
-    return MeasurementModel(mat, noise_bound=noise_bound)
+    return MeasurementModel(mat)
 
 
 def coherence(D: Dictionary) -> float:

@@ -13,7 +13,9 @@ lowest index, and all randomness is injected through explicit seeds, so
 identical inputs always give identical supports. A tie that is exact only in
 exact arithmetic is decided by rounding, not by the index: for a real signal
 and the overcomplete DFT, the mirrored atoms j and n - j correlate equally
-with it, and which of them is picked depends on the rounding of D^H z.
+with it, and which of them is picked depends on the rounding of D^H z and,
+after the first pick of OMP and eps-OMP, of the coefficient-space re-fit of
+D^H r from the picks' Gram columns.
 """
 
 from __future__ import annotations
@@ -127,10 +129,9 @@ class _Residual:
     The span is kept as an orthonormal basis that grows by at most one vector
     per added column, so adding a column costs O(d j) for a basis of j
     vectors instead of an SVD of every column added so far. The basis is
-    stored row by row: row j is q_j. This is the re-fit of the paths that
-    compute A^H r by one analysis per pick (the overcomplete DFT's FFT, the
-    measured atoms of eps_omp_recover) and of dense dictionaries from a pick
-    near the span of the earlier ones on (_GramResidual).
+    stored row by row: row j is q_j. This is the re-fit of the measured atoms
+    of eps_omp_recover, which have no Gram columns, and of a dictionary's own
+    atoms from a pick near the span of the earlier ones on (_GramResidual).
     """
 
     def __init__(self, z: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
@@ -145,15 +146,14 @@ class _Residual:
         """The orthonormal basis, one vector per column."""
         return self._rows[: self.rank].T
 
-    def add(self, a: np.ndarray, a_norm: float | None = None) -> None:
+    def add(self, a: np.ndarray) -> None:
         """Add the column a to the span and update r.
 
         a is orthogonalized against the basis with two classical Gram-Schmidt
         passes, in place in the basis row it would take. When what is left has
-        norm at most rcond * ||a|| (a_norm, when the caller has it), a already
-        lies in the span (to the package rank cutoff) and adds no vector, so
-        duplicated atoms collapse to one direction; the next column added
-        overwrites the row.
+        norm at most rcond * ||a||, a already lies in the span (to the package
+        rank cutoff) and adds no vector, so duplicated atoms collapse to one
+        direction; the next column added overwrites the row.
         """
         rank = self.rank
         if rank == self._rows.shape[0]:
@@ -166,7 +166,7 @@ class _Residual:
                 h = (rows @ q.conj()).conj() if self._complex else rows @ q
                 q -= h @ rows
         norm = _norm(q)
-        if norm <= self._rcond * (_norm(a) if a_norm is None else a_norm):
+        if norm <= self._rcond * _norm(a):
             return
         q /= norm
         self.r -= q * np.vdot(q, self.r)
@@ -261,7 +261,6 @@ def _greedy(
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
     gram: Callable[[int], np.ndarray] | None = None,
-    norm: Callable[[int], float] | None = None,
 ) -> tuple[SupportSet, SupportSet]:
     """The greedy pursuit behind OMP, eps-OMP, eps-thresholding and eps_omp_recover.
 
@@ -275,13 +274,14 @@ def _greedy(
     Returns the picks and the final exclusion mask (the closure), both as
     supports.
 
-    The re-fit takes one of two forms. Given gram(i), the Gram column
-    A^H a_i, it is Batch-OMP in coefficient space (_GramResidual): analysis
-    runs once, on z, and A^H r is updated from the picks' Gram columns;
-    column and analysis run again only if a pick near the span of the
-    earlier ones hands the re-fit to signal space. Otherwise r is kept one
-    orthonormal direction per pick (_Residual) and analysis(r) runs once per
-    pick; norm(i), when given, is _norm(a_i) for its rank test.
+    The re-fit takes one of two forms, chosen by where the columns come
+    from. Given gram(i), the Gram column A^H a_i, which a dictionary lends
+    for its own atoms, it is Batch-OMP in coefficient space (_GramResidual):
+    analysis runs once, on z, and A^H r is updated from the picks' Gram
+    columns; column and analysis run again only if a pick near the span of
+    the earlier ones hands the re-fit to signal space. Without it (the
+    measured atoms of eps_omp_recover) r is kept one orthonormal direction
+    per pick (_Residual) and analysis(r) runs once per pick.
     """
     d, n = shape
     c = analysis(z)
@@ -304,7 +304,7 @@ def _greedy(
                 fit.add(i, gram(i))
                 np.abs(fit.c, out=corr)
             else:
-                fit.add(column(i), norm(i) if norm else None)
+                fit.add(column(i))
                 np.abs(analysis(fit.r), out=corr)
         if table is None:
             corr[picks] = -1.0
@@ -328,13 +328,9 @@ def _greedy_over_atoms(
     table: tuple[np.ndarray, ...] | None = None,
     refit: bool = True,
 ) -> tuple[SupportSet, SupportSet]:
-    """_greedy over D's own atoms. A dense D lends its cached Gram columns
-    (the coefficient-space re-fit); the overcomplete DFT keeps one FFT D^H r
-    per pick and its cached atom norms. Forcing the Gram path on the DFT
-    kept the fig2 sweep digests but raised peak RSS from 51.3 to 63.0 MB,
-    the Gram cache (2-CPU VM, OpenBLAS 0.3.31)."""
-    gram = None if D._fft else D.gram_column
-    return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram, D.atom_norm)
+    """_greedy over D's own atoms, which lend their Gram columns: the
+    re-fit runs in coefficient space on every dictionary."""
+    return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, D.gram_column)
 
 
 def omp_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:

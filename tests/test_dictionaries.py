@@ -5,7 +5,6 @@ import pytest
 
 from sigspace import (
     Dictionary,
-    MeasurementModel,
     coherence,
     gaussian_measurements,
     gram_profile,
@@ -150,8 +149,6 @@ class TestGaussianMeasurements:
             gaussian_measurements(0, 3, seed=1)
         with pytest.raises(ValueError):
             gaussian_measurements(3, 3, seed=1, field_tag="rational")
-        with pytest.raises(ValueError):
-            MeasurementModel(np.eye(3), noise_bound=-1.0)
 
 
 class TestCorrelationTools:

@@ -230,11 +230,3 @@ def test_add_noise_rejects_a_negative_level():
     # a negative level once returned the input unchanged
     with pytest.raises(ValueError, match="level must be nonnegative"):
         add_noise(np.ones(3), -0.5, seed_sequence(1, SALT_NOISE))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_measurement_model_rejects_non_finite_noise_bound(bad):
-    with pytest.raises(ValueError, match="noise_bound must be finite"):
-        gaussian_measurements(4, 3, 1, noise_bound=bad)
-    with pytest.raises(ValueError, match="noise bound must be nonnegative"):
-        gaussian_measurements(4, 3, 1, noise_bound=-1.0)

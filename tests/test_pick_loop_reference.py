@@ -1,30 +1,35 @@
 """The greedy core's pick loop against a verbatim copy of its earlier form.
 
 ``_Residual`` and ``_greedy`` below are the loop as it stood before it
-orthogonalized each new column in place in its own basis row, read the rank
-test's atom norm from ``Dictionary.atom_norm``, masked picks by index when
-there is no exclusion table, took ``corr.argmax()`` and re-fitted dense
-dictionaries in coefficient space. The first four changes do no arithmetic
-of their own, so on the paths that compute A^H r by one analysis per pick
-(and without the re-fit) both loops compute the same bits: the picks, the
+orthogonalized each new column in place in its own basis row, masked picks
+by index when there is no exclusion table, took ``corr.argmax()`` and
+re-fitted in coefficient space. The first three changes do no arithmetic of
+their own, so on the paths that compute A^H r by one analysis per pick (and
+without the re-fit) both loops compute the same bits: the picks, the
 closures and the final residual r and basis must be equal byte for byte, on
 every instance.
 
 With Gram columns the re-fit keeps no r and no basis (``_GramResidual``)
 until a pick near the span hands it to signal space, and its correlations
-round differently from the reference's. Its pick t must
-equal the reference's pick t whenever the reference's max|A^H r| before
+round differently from the reference's. On a dense dictionary its pick t
+must equal the reference's pick t whenever the reference's max|A^H r| before
 that pick exceeds 1e-9 max(||z||, 1) max||a_i||: only a rounding-level
-residual may decide a pick differently. After every re-fitted pick, its
-tracked A^H r must equal the dense A^H (z - P z), P the SVD projection onto
-its picks so far, within 1e-12 max(||z||, 1) max||a_i||.
+residual may decide a pick differently. The overcomplete DFT also has ties
+that are exact only in exact arithmetic (the mirrored atoms j and n - j of a
+real signal), so there each pick is checked against the exact correlations
+instead: while the exact peak max|a_i^H r| over the atoms not excluded
+exceeds 1e-9 max(||z||, 1) max||a_i||, the pick's exact |a_i^H r| must be
+within 1e-12 max(||z||, 1) max||a_i|| of it, r = z - P z for the picks
+before it. After every re-fitted pick, the tracked A^H r must equal the
+dense A^H (z - P z), P the SVD projection onto its picks so far, within
+1e-12 max(||z||, 1) max||a_i||.
 
 The instances cover real and complex dictionaries, duplicated atoms, a
 rank-deficient dictionary, zero atoms and the overcomplete DFT (its FFT
-analysis), with and without Gram columns, with and without exclusion tables,
-with and without the re-fit, on generic, exactly sparse and zero signals,
-for k from 1 to past the rank. The measured atoms of eps_omp_recover, which
-have no cached norms, are covered too.
+analysis and its rolled Gram row), with and without Gram columns, with and
+without exclusion tables, with and without the re-fit, on generic, exactly
+sparse and zero signals, for k from 1 to past the rank. The measured atoms
+of eps_omp_recover, which have no Gram columns, are covered too.
 
 End to end, on seeded noisy problems whose residuals stay above rounding
 level, sscosamp and eps_omp_recover must give the same outputs bit for bit
@@ -155,8 +160,7 @@ def _greedy(
 
 
 def _greedy_over_atoms(D, z, k, table=None, refit=True):
-    gram = None if D._fft else D.gram_column
-    return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram)
+    return _greedy(D.matrix.shape, D.atom, D.analysis, z, k, table, refit, D.gram_column)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +283,14 @@ def _gram_runs(monkeypatch, D, args):
             super().add(i, g)
             cs.append(self.c.copy())
 
-    def run(greedy, *tail):
+    def run(greedy):
         order = []
 
         def recording_gram(i):
             order.append(i)
             return gram(i)
 
-        picks, closure = greedy(shape, column, analysis, z, k, table, refit, recording_gram, *tail)
+        picks, closure = greedy(shape, column, analysis, z, k, table, refit, recording_gram)
         order += sorted(set(picks) - set(order))  # the last pick is never re-fitted
         return order, closure
 
@@ -294,20 +298,40 @@ def _gram_runs(monkeypatch, D, args):
         m.setattr(sys.modules[__name__], "_Residual", Reference)
         m.setattr(projections, "_GramResidual", Core)
         expected = run(_greedy)
-        got = run(projections._greedy, D.atom_norm)
+        got = run(projections._greedy)
     return got, cs, expected, peaks
+
+
+def _assert_picks_reach_the_exact_peak(D, z, table, order, scale):
+    """While the exact max|a_i^H r| over the atoms not excluded exceeds
+    PICK_TOL scale, each pick's exact |a_i^H r| is within C_TOL scale of it."""
+    A = D.matrix
+    excluded = np.zeros(D.n, dtype=bool)
+    for t, pick in enumerate(order):
+        r = z - project(A, SupportSet.from_iterable(order[:t], D.n), z)
+        corr = np.abs(_adjoint_apply(A, r))
+        peak = corr[~excluded].max()
+        if peak <= PICK_TOL * scale:
+            break
+        assert not excluded[pick]
+        assert corr[pick] >= peak - C_TOL * scale
+        excluded[pick if table is None else table[pick]] = True
 
 
 def _assert_gram_matches(monkeypatch, D, args):
     """A re-fitted Gram instance's picks and tracked A^H r against the
-    reference; True when a rounding-level residual decided a pick differently."""
+    reference (on the DFT, its picks against the exact correlations); True
+    when a rounding-level residual decided a pick differently."""
     (order, closure), cs, (ref_order, ref_closure), peaks = _gram_runs(monkeypatch, D, args)
     z = args[3]
     A = D.matrix
     scale = max(_norm(z), 1.0) * D.atom_norms().max()
-    for pick, ref_pick, peak in zip(order, ref_order, peaks):
-        if peak > PICK_TOL * scale:
-            assert pick == ref_pick
+    if D._fft:
+        _assert_picks_reach_the_exact_peak(D, z, args[5], order, scale)
+    else:
+        for pick, ref_pick, peak in zip(order, ref_order, peaks):
+            if peak > PICK_TOL * scale:
+                assert pick == ref_pick
     if order == ref_order:
         assert closure == ref_closure
     assert len(cs) == len(order) - 1
@@ -334,8 +358,6 @@ CASES = [
 @pytest.mark.parametrize("name, mode", CASES)
 def test_pick_loop_matches_the_reference(name, mode, use_gram, monkeypatch):
     D = DICTIONARIES[name]()
-    if use_gram and D._fft:
-        D = Dictionary(D.matrix)  # the DFT's dense twin lends Gram columns
     eps, refit = MODES[mode]
     table = None if eps is None else D.neighbor_table(eps)
     gram = D.gram_column if use_gram else None
@@ -354,24 +376,20 @@ def test_pick_loop_matches_the_reference(name, mode, use_gram, monkeypatch):
                 _assert_gram_matches(monkeypatch, D, args)
                 continue
             expected = _run(monkeypatch, sys.modules[__name__], _greedy, *args)
-            got = _run(monkeypatch, projections, projections._greedy, *args, D.atom_norm)
-            _assert_same(got, expected)
             _assert_same(_run(monkeypatch, projections, projections._greedy, *args), expected)
     assert compared >= 15
 
 
 @pytest.mark.parametrize("name", sorted(DICTIONARIES))
 def test_selections_match_the_reference(name, monkeypatch):
-    """The public selections: byte for byte on the DFT's FFT path and without
-    the re-fit, by the Gram rule of _assert_gram_matches on dense dictionaries."""
+    """The public selections: byte for byte without the re-fit, by the Gram
+    rule of _assert_gram_matches with it."""
     D = DICTIONARIES[name]()
 
     def refitted(z, k, table=None):
-        if D._fft:
-            return _greedy_over_atoms(D, z, k, table)
         args = (D.matrix.shape, D.atom, D.analysis, z, k, table, True, D.gram_column)
         _assert_gram_matches(monkeypatch, D, args)
-        return projections._greedy(*args, D.atom_norm)
+        return projections._greedy(*args)
 
     for z in _signals(D, 540 + len(name)):
         for k in (1, 3, min(D.d, D.n)):

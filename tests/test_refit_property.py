@@ -17,9 +17,11 @@ orders of ``_Residual`` and, as extra ids, on OMP's picks past the rank.
 The signals of the dense twin of the 16x overcomplete DFT, whose
 neighbouring atoms are nearly collinear, are clustered.
 
-Dense dictionaries feed the greedy core their cached Gram columns
-(``Dictionary.gram_column``); the overcomplete DFT, the measured atoms of
-``eps_omp_recover`` and eps-thresholding do not.
+Every dictionary feeds the greedy core the Gram columns of its own atoms
+(``Dictionary.gram_column``): a dense one caches each column it computes,
+the overcomplete DFT keeps one row of its circulant Gram matrix and rolls
+it. The measured atoms of ``eps_omp_recover`` and eps-thresholding read
+none.
 """
 
 import numpy as np
@@ -31,12 +33,14 @@ from sigspace import (
     eps_omp_recover,
     eps_omp_select,
     eps_threshold_select,
+    load_dictionary,
     omp_select,
     orthonormal_range,
     overcomplete_dft,
     project,
     rank_rcond,
     rng_from,
+    save_dictionary,
 )
 from sigspace import projections
 from sigspace.dictionaries import SALT_NOISE, seed_sequence
@@ -203,18 +207,30 @@ def test_gram_cache_computes_each_column_once(name):
     for i, g in D._gram_cache.items():
         assert g.tobytes() == analysis(D.matrix[:, i]).tobytes()
         assert not g.flags.writeable
-    assert not D._norm_cache  # the Gram path reads ||d_i||^2 from g_i[i]
 
 
-def test_paths_without_gram_columns_leave_the_cache_empty():
+def test_dft_gram_cache_keeps_one_row():
     z = rng_from(414).standard_normal(16)
     D = overcomplete_dft(16, 4)
     omp_select(D, z, 5)
     eps_omp_select(D, z, 5, 0.3)
-    assert len(D._gram_cache) == 0
-    assert D._norm_cache  # the FFT path's rank test reads the cached norms
-    for i, norm in D._norm_cache.items():
-        assert norm == np.linalg.norm(D.matrix[:, i])
+    assert list(D._gram_cache) == [0]
+
+
+def test_dft_gram_columns_are_the_analysis_of_the_atoms(tmp_path):
+    save_dictionary(tmp_path / "dft.sgc", overcomplete_dft(8, 4))
+    loaded = load_dictionary(tmp_path / "dft.sgc")
+    assert loaded._fft
+    for D in (overcomplete_dft(16, 4), overcomplete_dft(256, 4), loaded):
+        for i in range(D.n):
+            g = D.gram_column(i)
+            assert not g.flags.writeable
+            assert np.abs(g - D.analysis(D.matrix[:, i])).max() <= 1e-13
+        assert len(D._gram_cache) == 1
+
+
+def test_paths_without_gram_columns_leave_the_cache_empty():
+    z = rng_from(414).standard_normal(16)
     D = Dictionary(MATRICES["real"]())
     z = z[: D.d]
     eps_threshold_select(D, z, 5, 0.3)
