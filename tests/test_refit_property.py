@@ -7,9 +7,9 @@ a column already in the span (a duplicated atom, any column past the rank of
 a rank-deficient dictionary, a zero column) must add no basis vector and no
 NaN.
 
-``projections._GramResidual``, the re-fit of dense dictionaries, keeps only
-A^H r while the picks are well conditioned and hands a pick near the span of
-the earlier ones to a signal-space ``_Residual``. After every added column
+``projections._GramResidual``, the re-fit of a dictionary's own atoms, keeps
+only A^H r while the picks are well conditioned and hands a pick near the
+span of the earlier ones to a signal-space ``_Residual``. After every added column
 its A^H r must equal ``A^H (z - project(A, picks, z))``, its rank must equal
 that of the picked columns and never exceed that of A, and an exact
 duplicate of a picked atom must add no row. It runs on the random pick
