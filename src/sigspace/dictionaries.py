@@ -130,7 +130,8 @@ class Dictionary:
         """D^H d_i, read-only, computed by analysis on first use and kept.
 
         <d_j, d_i> of the overcomplete DFT depends only on (j - i) mod n, so
-        its only cached entry is g_0 = D^H d_0 and column i is g_0 rolled by i.
+        its only cached entry is g_0 = D^H d_0 and column i is g_0 rolled by i,
+        joined from two slices of g_0.
         """
         key = 0 if self._fft else i
         g = self._gram_cache.get(key)
@@ -139,7 +140,8 @@ class Dictionary:
             g.flags.writeable = False
             self._gram_cache[key] = g
         if self._fft:
-            g = np.roll(g, i)
+            cut = self.n - i
+            g = np.concatenate((g[cut:], g[:cut]))
             g.flags.writeable = False
         return g
 

@@ -187,8 +187,9 @@ def _separated_support(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
         raise ValueError(f"separation infeasible: n={n} too small for k={k}")
     for _ in range(_SEPARATED_ATTEMPTS):
         draw = np.sort(rng.choice(n, size=k, replace=False))
-        gaps = np.diff(draw, append=draw[0] + n)
-        if (gaps >= spacing).all():
+        ends = draw.tolist()
+        ends.append(ends[0] + n)  # the gap that wraps around
+        if all(b - a >= spacing for a, b in zip(ends, ends[1:])):
             return draw
     raise RuntimeError("separated support sampling did not converge")
 

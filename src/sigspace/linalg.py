@@ -102,9 +102,35 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X for a matrix A and a vector or matrix X, with no complex copy of a real A.
+
+    For a float64 A and a complex128 X, plain @ first casts all of A to
+    complex128. Here X (made C-contiguous, a copy of X at most) is read as
+    float64 with its real and imaginary parts interleaved, so one real
+    product gives both parts. The products of the terms are those of the
+    complex kernel, but their sums may round differently. Any other pair of
+    dtypes takes plain @.
+    """
+    if A.dtype != np.float64 or X.dtype != np.complex128 or A.ndim != 2 or X.ndim > 2:
+        return A @ X
+    cols = np.ascontiguousarray(X if X.ndim == 2 else X[:, None])
+    out = (A @ cols.view(np.float64)).view(np.complex128)
+    return out if X.ndim == 2 else out[:, 0]
+
+
 def _adjoint_apply(A: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """A^H r without building A^H: one pass over A, no copy of the matrix."""
-    return (r.conj() @ A).conj()
+    """A^H r without building A^H: one pass over A, no copy of the matrix.
+
+    A real A takes A^T r: r @ A for a real r (conj() of a real array is the
+    array itself, so these are the bits of the complex form), and _matmul
+    for a complex r.
+    """
+    if A.dtype.kind == "c":
+        return (r.conj() @ A).conj()
+    if r.dtype.kind != "c":
+        return r @ A
+    return _matmul(A.T, r)
 
 
 def subdict(D: np.ndarray, T: SupportSet) -> np.ndarray:
@@ -177,8 +203,16 @@ def ls_synthesize(M: np.ndarray, D: np.ndarray, T: SupportSet, y: np.ndarray) ->
     if len(T) == 0:
         return np.zeros(D.shape[0], dtype=out_dtype)
     cols = subdict(D, T)
-    A = M @ cols
-    coef, _, _, _ = np.linalg.lstsq(A, y, rcond=rank_rcond(A.shape))
+    A = _matmul(M, cols)
+    rcond = rank_rcond(A.shape)
+    try:
+        coef = np.linalg.lstsq(A, y, rcond=rcond)[0]
+    except np.linalg.LinAlgError:
+        # LAPACK's SVD can fail to converge on a well-posed A and converge on
+        # A / ||A||_F. rcond is relative, so that problem has the same
+        # minimum-norm solution, times ||A||_F.
+        scale = np.linalg.norm(A)
+        coef = np.linalg.lstsq(A / scale, y, rcond=rcond)[0] / scale
     return cols @ coef
 
 

@@ -213,6 +213,7 @@ class _GramResidual:
         self.c = c.astype(dtype, copy=True)
         self._rows = np.empty((capacity, c.shape[0]), dtype=dtype)
         self._s = np.empty(capacity, dtype=dtype)
+        self._ws = np.empty(c.shape[0], dtype=dtype)  # w s of the latest direction
         self._rcond = rcond
         self._taken: list[int] = []  # the columns that added a direction
         self._residual: _Residual | None = None
@@ -239,7 +240,7 @@ class _GramResidual:
                     w -= wi.conj() @ rows
                 w /= nu
                 s = self._s[rank] = (self._c0[i] - wi @ self._s[:rank]) / nu
-                self.c -= w * s
+                self.c -= np.multiply(w, s, out=self._ws)
                 self._taken.append(i)
                 self.rank += 1
                 return
@@ -288,7 +289,8 @@ def _greedy(
     corr = np.abs(c)
     excluded = None if table is None else np.zeros(n, dtype=bool)
     left = n  # columns not excluded yet
-    picks: list[int] = []
+    picks = np.empty(k, dtype=np.intp)  # the first `count` entries are the picks
+    count = 0
     fit = None
     if refit:
         # only the picks before the last are re-fitted, and at most d directions exist
@@ -298,8 +300,7 @@ def _greedy(
     for _ in range(k):
         if not left:
             break
-        if fit is not None and picks:
-            i = picks[-1]
+        if fit is not None and count:  # re-fit with the previous round's pick i
             if gram:
                 fit.add(i, gram(i))
                 np.abs(fit.c, out=corr)
@@ -307,18 +308,21 @@ def _greedy(
                 fit.add(column(i))
                 np.abs(analysis(fit.r), out=corr)
         if table is None:
-            corr[picks] = -1.0
+            corr[picks[:count]] = -1.0
         else:
             corr[excluded] = -1.0
         i = int(corr.argmax())
-        picks.append(i)
+        picks[count] = i
+        count += 1
         if table is None:
             left -= 1
         else:
             left -= table[i].size - int(np.count_nonzero(excluded[table[i]]))
             excluded[table[i]] = True
-    closure = picks if table is None else np.flatnonzero(excluded)
-    return SupportSet.from_iterable(picks, n), SupportSet.from_iterable(closure, n)
+    chosen = SupportSet.from_iterable(picks[:count].tolist(), n)
+    if table is None:
+        return chosen, chosen
+    return chosen, SupportSet(tuple(np.flatnonzero(excluded).tolist()), n)
 
 
 def _greedy_over_atoms(

@@ -17,7 +17,7 @@ from itertools import cycle
 import numpy as np
 
 from .dictionaries import Dictionary
-from .linalg import SupportSet, _adjoint_apply, _require_finite, ls_synthesize, project
+from .linalg import SupportSet, _adjoint_apply, _matmul, _require_finite, ls_synthesize, project
 from .projections import _EPS_KINDS, SelectionScheme, _greedy, select
 
 STOP_RESIDUAL = "residual"
@@ -214,7 +214,7 @@ def sscosamp(
                     x_fit = ls_synthesize(M, D.matrix, merged, y)
                     support = select(config.scheme_shrink, D, x_fit)
                     x = project(D.matrix, support, x_fit, bases)
-                    residual = y - M @ x
+                    residual = y - _matmul(M, x)
                     res_norm = float(np.linalg.norm(residual))
                     err = float(np.linalg.norm(x - x_true)) if x_true is not None else None
                     position[merged.indices] = len(fitted)
@@ -265,7 +265,7 @@ def eps_omp_recover(
     y, M = _checked_measurements(y, M, D)
     support = _greedy(
         (M.shape[0], D.n),
-        lambda i: M @ D.matrix[:, i],
+        lambda i: _matmul(M, D.matrix[:, i]),
         lambda r: D.analysis(_adjoint_apply(M, r)),
         y,
         k,

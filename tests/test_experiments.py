@@ -133,6 +133,24 @@ class TestSignalGeneration:
         assert idx.shape == (3,)
         assert len(set(idx.tolist())) == 3
 
+    def test_separated_helper_keeps_the_draws_of_the_array_rule(self):
+        def array_rule(rng, n, k):
+            spacing = n // (2 * k)
+            while True:
+                draw = np.sort(rng.choice(n, size=k, replace=False))
+                gaps = np.diff(draw, append=draw[0] + n)
+                if (gaps >= spacing).all():
+                    return draw
+
+        for n, k in ((1024, 8), (64, 4), (24, 3), (10, 1), (16, 8)):
+            for seed in range(100 if n == 1024 else 40):
+                a, b = rng_from(302, n, k, seed), rng_from(302, n, k, seed)
+                expected = array_rule(a, n, k)
+                got = _separated_support(b, n, k)
+                assert got.dtype == expected.dtype
+                assert got.tolist() == expected.tolist()
+                assert a.bit_generator.state == b.bit_generator.state
+
     def test_k_bounds(self):
         D = overcomplete_dft(8, 2)
         with pytest.raises(ValueError):
@@ -193,6 +211,14 @@ class TestRunSweep:
             assert c.trials == 3
             assert all(0.0 <= r <= 1.0 for r in c.rates)
             assert all(s == round(r * 3) for s, r in zip(c.successes, c.rates))
+
+    def test_fit_that_lapack_fails_to_converge_on(self):
+        # One fig2 trial whose fit lstsq failed to converge on under
+        # single-threaded OpenBLAS; the sweep's workers run single-threaded.
+        variants = tuple(v for v in fig_variants() if v.label == "sscosamp-eps-omp")
+        settings = SweepSettings(d=256, redundancy=4, k=8, mode="separated")
+        (curve,) = run_sweep(settings, variants, (160,), 2, 218768143, threads=1)
+        assert curve.trials == 2
 
     def test_thread_counts_agree(self):
         variants = (VariantSpec("sscosamp-threshold", "sscosamp"),)

@@ -14,6 +14,10 @@ from sigspace import (
     subdict,
     top_k_indices,
 )
+from sigspace import linalg
+from sigspace.linalg import _adjoint_apply, _matmul
+
+EPS = np.finfo(np.float64).eps
 
 
 def random_problem(rng, complex_field=False):
@@ -197,6 +201,77 @@ class TestLsSynthesize:
         x_real = ls_synthesize(M, D, T, y)
         x_cplx = ls_synthesize(M.astype(complex), D.astype(complex), T, y.astype(complex))
         assert np.linalg.norm(x_cplx - x_real) <= 1e-12 * max(np.linalg.norm(x_real), 1.0)
+
+    def test_a_solve_that_does_not_converge_is_solved_scaled(self, monkeypatch):
+        # LAPACK's SVD can fail on a well-posed matrix and converge on it
+        # scaled by 1 / ||A||_F; the scaled solve has the same min-norm answer.
+        rng = rng_from(34)
+        D = rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20))
+        M = rng.standard_normal((10, 12))
+        y = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        T = SupportSet((1, 4, 5, 9, 13, 17), 20)
+        expected = ls_synthesize(M, D, T, y)
+        lstsq = np.linalg.lstsq
+        calls = []
+
+        def fails_once(A, b, rcond):
+            calls.append(np.linalg.norm(A))
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+            return lstsq(A, b, rcond=rcond)
+
+        monkeypatch.setattr(linalg.np.linalg, "lstsq", fails_once)
+        x = ls_synthesize(M, D, T, y)
+        assert len(calls) == 2
+        assert abs(calls[1] - 1.0) <= 1e-14  # the retry solves A / ||A||_F
+        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+class TestMatmul:
+    """_matmul runs a real A times a complex X on a real kernel: the sums may
+    round differently from A.astype(complex) @ X, every other pair is plain @."""
+
+    @pytest.mark.parametrize("cols", [None, 1, 7])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_real_times_complex_matches_the_complex_product(self, cols, transposed):
+        for seed in range(20):
+            rng = rng_from(35, seed)
+            m, d = (int(v) for v in rng.integers(1, 60, size=2))
+            A = rng.standard_normal((d, m)).T if transposed else rng.standard_normal((m, d))
+            shape = (2 * d,) if cols is None else (2 * d, cols)
+            X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            strided = X[::2] if cols is None else np.repeat(X[::2], 2, axis=1)[:, ::2]
+            for operand in (np.ascontiguousarray(X[::2]), strided, X[::-2]):
+                got = _matmul(A, operand)
+                ref = A.astype(complex) @ operand
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                tol = 4 * EPS * np.linalg.norm(A) * np.linalg.norm(operand)
+                assert np.abs(got - ref).max() <= tol
+
+    def test_other_dtype_pairs_are_plain_matmul(self):
+        rng = rng_from(37)
+        real = rng.standard_normal((6, 5))
+        cplx = real + 1j * rng.standard_normal((6, 5))
+        x_real = rng.standard_normal(5)
+        x_cplx = x_real + 1j * rng.standard_normal(5)
+        pairs = [
+            (real, x_real), (real, x_real[:, None]), (cplx, x_cplx), (cplx, x_real),
+            (real.astype(np.float32), x_cplx), (real, x_cplx.astype(np.complex64)),
+            (real.astype(np.int64), x_cplx), (cplx, np.column_stack([x_cplx, x_cplx])),
+        ]
+        for A, X in pairs:
+            got, ref = _matmul(A, X), A @ X
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
+
+    def test_adjoint_of_a_real_matrix_on_a_complex_vector(self):
+        rng = rng_from(38)
+        A = rng.standard_normal((11, 7))
+        r = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        got = _adjoint_apply(A, r)
+        assert np.abs(got - A.T.astype(complex) @ r).max() <= 4 * EPS * np.linalg.norm(A) * np.linalg.norm(r)
+        x = rng.standard_normal(11)
+        assert _adjoint_apply(A, x).tobytes() == (x @ A).tobytes()
 
 
 class TestTopK:

@@ -229,6 +229,14 @@ def test_dft_gram_columns_are_the_analysis_of_the_atoms(tmp_path):
         assert len(D._gram_cache) == 1
 
 
+def test_dft_gram_columns_are_the_cached_row_rolled():
+    for d in (16, 256):
+        D = overcomplete_dft(d, 4)
+        g0 = D.gram_column(0)
+        for i in range(D.n):
+            assert D.gram_column(i).tobytes() == np.roll(g0, i).tobytes()
+
+
 def test_paths_without_gram_columns_leave_the_cache_empty():
     z = rng_from(414).standard_normal(16)
     D = Dictionary(MATRICES["real"]())

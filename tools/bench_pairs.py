@@ -13,7 +13,8 @@ root, one seed per pair and the same seed on both sides, parent first in odd
 pairs and change first in even ones, workloads one after another. Every run is listed. Each workload also gets one traced run per
 side (its per-layer metrics), and with --sweep-trials the bundled
 fig2_desk.json sweep is run on both sides at each --sweep-threads and the
-digests of its outputs are compared.
+digests of its outputs are compared; when they differ, the CSVs are compared
+column by column between the sides and across thread counts within a side.
 
 The verdict compares medians against the bounds in BENCHMARK.json and counts
 the pairs in which the change reads better; it claims nothing by itself.
@@ -22,6 +23,7 @@ the pairs in which the change reads better; it claims nothing by itself.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -171,12 +173,46 @@ def sweep_digests(args, trees: dict[str, Path], scratch: Path) -> dict:
                 for p in sorted(out_dir.iterdir())
             }
     runs = list(digests.values())
-    return {
+    record = {
         "sweep_command": f"sigspace sweep --config fig2_desk.json(trials {args.sweep_trials}) "
                          "--out <dir> --threads <t> --quiet",
         "identical": all(r == runs[0] for r in runs),
         "digests": digests,
     }
+    if not record["identical"]:
+        record.update(compare_csvs(args.sweep_threads, trees, scratch, digests))
+    return record
+
+
+def read_rows(path: Path) -> list[dict]:
+    with path.open(newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+def compare_csvs(thread_counts, trees, scratch: Path, digests: dict) -> dict:
+    """What a rounding change has to show when the sweep outputs differ.
+
+    csv_columns_match: per CSV file and column, whether the parent's and the
+    change's cells are equal at every thread count (successes, rate and
+    mean_iters must be; mean_rel_error may move by rounding).
+    csv_identical_across_threads: per side, whether its CSVs are byte for byte
+    the same at every thread count.
+    """
+    columns = {}
+    for threads in thread_counts:
+        for path in sorted((scratch / f"sweep-parent-{threads}").glob("*.csv")):
+            parent = read_rows(path)
+            change = read_rows(scratch / f"sweep-change-{threads}" / path.name)
+            match = columns.setdefault(path.name, dict.fromkeys(parent[0], True))
+            for col in match:
+                match[col] = match[col] and len(parent) == len(change) and all(
+                    p[col] == c[col] for p, c in zip(parent, change))
+    across = {}
+    for side in trees:
+        csvs = [{k: v for k, v in digests[f"{side}_threads_{t}"].items() if k.endswith(".csv")}
+                for t in thread_counts]
+        across[side] = all(c == csvs[0] for c in csvs)
+    return {"csv_columns_match": columns, "csv_identical_across_threads": across}
 
 
 def verdict(results: dict, bench: dict) -> list[str]:
