@@ -69,13 +69,13 @@ class Dictionary:
     load_dictionary marks a container whose payload equals it bit for bit. Any
     other matrix, whatever its kind tag, takes the dense product.
 
-    The greedy schemes re-fit in coefficient space (Batch-OMP): they read the
-    Gram columns D^H d_i of their picks, and the atoms themselves only from a
-    pick near the span of the earlier ones on. A dense dictionary caches each
-    Gram column as it is first computed and keeps it: at most n columns, the
-    whole n x n Gram matrix (n^2 entries, 8 MiB for a real n = 1024), each
-    computed once. The overcomplete DFT's Gram matrix is circulant, so it
-    keeps one row and rolls it.
+    The greedy schemes re-fit from the Gram columns D^H d_i of their picks
+    (Batch-OMP). A dense dictionary caches each Gram column as it is first
+    computed and keeps it: at most n columns, the whole n x n Gram matrix
+    (n^2 entries, 8 MiB for a real n = 1024), each computed once. The
+    overcomplete DFT's Gram matrix is circulant, so it keeps one row and
+    rolls it. The Gram columns of measured atoms M d_i depend on M and are
+    never cached here.
     """
 
     matrix: np.ndarray

@@ -129,9 +129,8 @@ class _Residual:
     The span is kept as an orthonormal basis that grows by at most one vector
     per added column, so adding a column costs O(d j) for a basis of j
     vectors instead of an SVD of every column added so far. The basis is
-    stored row by row: row j is q_j. This is the re-fit of the measured atoms
-    of eps_omp_recover, which have no Gram columns, and of a dictionary's own
-    atoms from a pick near the span of the earlier ones on (_GramResidual).
+    stored row by row: row j is q_j. _GramResidual hands its re-fit to it
+    from a pick near the span of the earlier ones on.
     """
 
     def __init__(self, z: np.ndarray, dtype: np.dtype, capacity: int, rcond: float) -> None:
@@ -275,14 +274,13 @@ def _greedy(
     Returns the picks and the final exclusion mask (the closure), both as
     supports.
 
-    The re-fit takes one of two forms, chosen by where the columns come
-    from. Given gram(i), the Gram column A^H a_i, which a dictionary lends
-    for its own atoms, it is Batch-OMP in coefficient space (_GramResidual):
-    analysis runs once, on z, and A^H r is updated from the picks' Gram
-    columns; column and analysis run again only if a pick near the span of
-    the earlier ones hands the re-fit to signal space. Without it (the
-    measured atoms of eps_omp_recover) r is kept one orthonormal direction
-    per pick (_Residual) and analysis(r) runs once per pick.
+    The re-fit is Batch-OMP in coefficient space (_GramResidual): analysis
+    runs once, on z, and A^H r is updated from the Gram column A^H a_i of
+    each pick; column and analysis run again only if a pick near the span of
+    the earlier ones hands the re-fit to signal space. gram(i) gives that
+    column, and a dictionary lends it, cached, for its own atoms; without it
+    (the measured atoms of eps_omp_recover) it is analysis(column(i)), one
+    product per pick, not cached.
     """
     d, n = shape
     c = analysis(z)
@@ -295,18 +293,14 @@ def _greedy(
     if refit:
         # only the picks before the last are re-fitted, and at most d directions exist
         dtype = np.result_type(c, z)
-        args = (dtype, min(k - 1, d), rank_rcond(shape))
-        fit = _GramResidual(z, c, column, analysis, *args) if gram else _Residual(z, *args)
+        fit = _GramResidual(z, c, column, analysis, dtype, min(k - 1, d), rank_rcond(shape))
+        gram = gram or (lambda i: analysis(column(i)))
     for _ in range(k):
         if not left:
             break
         if fit is not None and count:  # re-fit with the previous round's pick i
-            if gram:
-                fit.add(i, gram(i))
-                np.abs(fit.c, out=corr)
-            else:
-                fit.add(column(i))
-                np.abs(analysis(fit.r), out=corr)
+            fit.add(i, gram(i))
+            np.abs(fit.c, out=corr)
         if table is None:
             corr[picks[:count]] = -1.0
         else:

@@ -253,10 +253,10 @@ def eps_omp_recover(
 ) -> tuple[np.ndarray, SupportSet]:
     """One-shot eps-OMP on the measured atoms M d_i.
 
-    Selection correlates the residual r against the measured atoms as
-    D^H (M^H r), through D.analysis (so by FFT for the overcomplete DFT), and
-    forms the measured atom M d_i of each pick only when the re-fit needs it:
-    the m x n product M D is never built. Exclusion uses the dictionary's own
+    Selection correlates against the measured atoms through D.analysis (so
+    by FFT for the overcomplete DFT): D^H (M^H y) once, then the re-fit's
+    Gram column D^H M^H (M d_i) of each pick, so the m x n product M D is
+    never built. Exclusion uses the dictionary's own
     correlation closure, and the final estimate is a min-norm fit of y over
     the measured atoms of the closure.
     """

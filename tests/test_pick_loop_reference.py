@@ -3,20 +3,18 @@
 ``_Residual`` and ``_greedy`` below are the loop as it stood before it
 orthogonalized each new column in place in its own basis row, masked picks
 by index when there is no exclusion table, took ``corr.argmax()`` and
-re-fitted in coefficient space. The first three changes do no arithmetic of
-their own, so on the paths that compute A^H r by one analysis per pick (and
-without the re-fit) both loops compute the same bits: the picks, the
-closures and the final residual r and basis must be equal byte for byte, on
-every instance.
+re-fitted in coefficient space. Without the re-fit both loops compute A^H z
+once and do no other arithmetic, so their picks and closures must be equal
+byte for byte on every instance.
 
-With Gram columns the re-fit keeps no r and no basis (``_GramResidual``)
-until a pick near the span hands it to signal space, and its correlations
-round differently from the reference's. On a dense dictionary its pick t
-must equal the reference's pick t whenever the reference's max|A^H r| before
-that pick exceeds 1e-9 max(||z||, 1) max||a_i||: only a rounding-level
-residual may decide a pick differently. The overcomplete DFT also has ties
-that are exact only in exact arithmetic (the mirrored atoms j and n - j of a
-real signal), so there each pick is checked against the exact correlations
+The core's re-fit keeps no r and no basis (``_GramResidual``) until a pick
+near the span hands it to signal space, and its correlations round
+differently from the reference's. On a dense dictionary its pick t must
+equal the reference's pick t whenever the reference's max|A^H r| before that
+pick exceeds 1e-9 max(||z||, 1) max||a_i||: only a rounding-level residual
+may decide a pick differently. The overcomplete DFT also has ties that are
+exact only in exact arithmetic (the mirrored atoms j and n - j of a real
+signal), so there each pick is checked against the exact correlations
 instead: while the exact peak max|a_i^H r| over the atoms not excluded
 exceeds 1e-9 max(||z||, 1) max||a_i||, the pick's exact |a_i^H r| must be
 within 1e-12 max(||z||, 1) max||a_i|| of it, r = z - P z for the picks
@@ -26,10 +24,12 @@ dense A^H (z - P z), P the SVD projection onto its picks so far, within
 
 The instances cover real and complex dictionaries, duplicated atoms, a
 rank-deficient dictionary, zero atoms and the overcomplete DFT (its FFT
-analysis and its rolled Gram row), with and without Gram columns, with and
-without exclusion tables, with and without the re-fit, on generic, exactly
-sparse and zero signals, for k from 1 to past the rank. The measured atoms
-of eps_omp_recover, which have no Gram columns, are covered too.
+analysis and its rolled Gram row), with and without exclusion tables, with
+and without the re-fit, on generic, exactly sparse and zero signals, for k
+from 1 to past the rank. The measured atoms M d_i of eps_omp_recover are
+covered too: the core reads their Gram columns D^H M^H (M d_i) by one
+analysis per pick, and they are checked by the same rule against the dense
+twin M D, with at least one instance handed over to signal space.
 
 End to end, on seeded noisy problems whose residuals stay above rounding
 level, sscosamp and eps_omp_recover must give the same outputs bit for bit
@@ -231,47 +231,17 @@ def _ks(D):
     return sorted({1, 2, 3, D.d - 1, D.d, D.d + 2})
 
 
-def _run(monkeypatch, owner, greedy, *args):
-    """greedy(*args) and the _Residual it re-fitted with (None without re-fit)."""
-    made = []
+def _gram_runs(monkeypatch, args, ref_args):
+    """The core's run of args and the reference's run of ref_args, which
+    must pass Gram columns.
 
-    class Recording(owner._Residual):
-        def __init__(self, *init_args):
-            super().__init__(*init_args)
-            made.append(self)
-
-    with monkeypatch.context() as m:
-        m.setattr(owner, "_Residual", Recording)
-        picks, closure = greedy(*args)
-    assert len(made) <= 1
-    return picks, closure, made[0] if made else None
-
-
-def _assert_same(got, expected):
-    picks, closure, fit = got
-    ref_picks, ref_closure, ref_fit = expected
-    assert picks == ref_picks
-    assert closure == ref_closure
-    assert (fit is None) == (ref_fit is None)
-    if fit is None:
-        return
-    assert fit.rank == ref_fit.rank
-    assert fit.r.dtype == ref_fit.r.dtype
-    assert fit.r.tobytes() == ref_fit.r.tobytes()
-    assert fit.basis.tobytes() == ref_fit.basis.tobytes()
-    assert ref_fit.c is None  # runs with Gram columns are compared by _assert_gram_matches
-
-
-def _gram_runs(monkeypatch, D, args):
-    """The reference's and the core's runs of one Gram instance.
-
-    Each run is (picks in pick order, closure); the reference's also lists
-    its max|A^H r| before each pick, and the core's the A^H r it tracked
-    after each re-fitted pick.
+    For the core: its picks in pick order, the A^H r it tracked after each
+    re-fitted pick and its (picks, closure); for the reference: its picks in
+    pick order, its closure and its max|A^H r| before each pick.
     """
-    shape, column, analysis, z, k, table, refit, gram = args
-    peaks = [float(np.abs(analysis(z)).max())]
-    cs = []
+    gram = ref_args[7]
+    peaks = [float(np.abs(ref_args[2](ref_args[3])).max())]
+    order, ref_order, cs = [], [], []
 
     class Reference(_Residual):
         def add(self, a, g=None):
@@ -280,26 +250,22 @@ def _gram_runs(monkeypatch, D, args):
 
     class Core(projections._GramResidual):
         def add(self, i, g):
+            order.append(i)
             super().add(i, g)
             cs.append(self.c.copy())
 
-    def run(greedy):
-        order = []
-
-        def recording_gram(i):
-            order.append(i)
-            return gram(i)
-
-        picks, closure = greedy(shape, column, analysis, z, k, table, refit, recording_gram)
-        order += sorted(set(picks) - set(order))  # the last pick is never re-fitted
-        return order, closure
+    def recording_gram(i):
+        ref_order.append(i)
+        return gram(i)
 
     with monkeypatch.context() as m:
         m.setattr(sys.modules[__name__], "_Residual", Reference)
         m.setattr(projections, "_GramResidual", Core)
-        expected = run(_greedy)
-        got = run(projections._greedy)
-    return got, cs, expected, peaks
+        ref_picks, ref_closure = _greedy(*ref_args[:7], recording_gram)
+        got = projections._greedy(*args)
+    order += sorted(set(got[0]) - set(order))  # the last pick is never re-fitted
+    ref_order += sorted(set(ref_picks) - set(ref_order))
+    return order, cs, got, (ref_order, ref_closure), peaks
 
 
 def _assert_picks_reach_the_exact_peak(D, z, table, order, scale):
@@ -318,11 +284,12 @@ def _assert_picks_reach_the_exact_peak(D, z, table, order, scale):
         excluded[pick if table is None else table[pick]] = True
 
 
-def _assert_gram_matches(monkeypatch, D, args):
-    """A re-fitted Gram instance's picks and tracked A^H r against the
-    reference (on the DFT, its picks against the exact correlations); True
-    when a rounding-level residual decided a pick differently."""
-    (order, closure), cs, (ref_order, ref_closure), peaks = _gram_runs(monkeypatch, D, args)
+def _assert_gram_matches(monkeypatch, D, args, ref_args=None):
+    """A re-fitted instance's picks and tracked A^H r, A = D.matrix, against
+    the reference's run of ref_args (args by default; on the DFT, its picks
+    against the exact correlations). Returns the core's picks and closure."""
+    runs = _gram_runs(monkeypatch, args, ref_args or args)
+    order, cs, (picks, closure), (ref_order, ref_closure), peaks = runs
     z = args[3]
     A = D.matrix
     scale = max(_norm(z), 1.0) * D.atom_norms().max()
@@ -338,29 +305,32 @@ def _assert_gram_matches(monkeypatch, D, args):
     for t, c in enumerate(cs, start=1):
         r = z - project(A, SupportSet.from_iterable(order[:t], D.n), z)
         assert np.linalg.norm(c - _adjoint_apply(A, r)) <= C_TOL * scale
-    return order != ref_order
+    return picks, closure
 
 
 # ---------------------------------------------------------------------------
 # tests
 
 
-# a zero atom has no normalized correlations, so no exclusion table
+# (dictionary, mode, Gram columns); a zero atom has no normalized correlations,
+# so no exclusion table. A loop without the re-fit reads no Gram column, so it
+# runs both without ("analysis") and with ("gram") D's; a re-fit gets them, as
+# every selection passes them.
 CASES = [
-    (name, mode)
+    (name, mode, form)
     for name in sorted(DICTIONARIES)
     for mode in sorted(MODES)
+    for form in (("gram",) if MODES[mode][1] else ("analysis", "gram"))
     if name != "zero" or MODES[mode][0] is None
 ]
 
 
-@pytest.mark.parametrize("use_gram", (False, True), ids=("analysis", "gram"))
-@pytest.mark.parametrize("name, mode", CASES)
-def test_pick_loop_matches_the_reference(name, mode, use_gram, monkeypatch):
+@pytest.mark.parametrize("name, mode, form", CASES)
+def test_pick_loop_matches_the_reference(name, mode, form, monkeypatch):
     D = DICTIONARIES[name]()
     eps, refit = MODES[mode]
     table = None if eps is None else D.neighbor_table(eps)
-    gram = D.gram_column if use_gram else None
+    gram = D.gram_column if form == "gram" else None
     if table is None and not refit:
         ks = [1, 2, 3]  # thresholding without a table is only ever called with refit
     else:
@@ -372,11 +342,10 @@ def test_pick_loop_matches_the_reference(name, mode, use_gram, monkeypatch):
                 continue
             args = (D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram)
             compared += 1
-            if use_gram and refit:
+            if refit:
                 _assert_gram_matches(monkeypatch, D, args)
-                continue
-            expected = _run(monkeypatch, sys.modules[__name__], _greedy, *args)
-            _assert_same(_run(monkeypatch, projections, projections._greedy, *args), expected)
+            else:
+                assert projections._greedy(*args) == _greedy(*args)
     assert compared >= 15
 
 
@@ -388,8 +357,7 @@ def test_selections_match_the_reference(name, monkeypatch):
 
     def refitted(z, k, table=None):
         args = (D.matrix.shape, D.atom, D.analysis, z, k, table, True, D.gram_column)
-        _assert_gram_matches(monkeypatch, D, args)
-        return projections._greedy(*args)
+        return _assert_gram_matches(monkeypatch, D, args)
 
     for z in _signals(D, 540 + len(name)):
         for k in (1, 3, min(D.d, D.n)):
@@ -403,10 +371,21 @@ def test_selections_match_the_reference(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ("real", "complex", "duplicated", "dft4"))
 def test_measured_atoms_match_the_reference(name, monkeypatch):
-    """eps_omp_recover's pursuit over M d_i: no Gram columns, no cached norms."""
+    """eps_omp_recover's pursuit over M d_i, whose Gram columns the core reads
+    as analysis(column(i)) = D^H M^H (M d_i), by the rule of
+    _assert_gram_matches against the reference on the dense twin M D;
+    eps_omp_recover returns the core's closure."""
     D = DICTIONARIES[name]()
     rng = rng_from(550 + len(name))
     M = _noise(rng, (D.d - 3, D.d), D.field_tag == "complex") / math.sqrt(D.d)
+    twin = Dictionary(M @ D.matrix)
+    handovers = []
+
+    class Handover(projections._Residual):
+        def __init__(self, *init_args):
+            super().__init__(*init_args)
+            handovers.append(k)
+
     for y in (M @ z for z in _signals(D, 551)):
         for eps in (0.0, math.sqrt(0.1)):
             table = D.neighbor_table(eps)
@@ -419,9 +398,16 @@ def test_measured_atoms_match_the_reference(name, monkeypatch):
                     k,
                     table,
                 )
-                expected = _run(monkeypatch, sys.modules[__name__], _greedy, *args)
-                _assert_same(_run(monkeypatch, projections, projections._greedy, *args), expected)
-                assert eps_omp_recover(y, M, D, k, eps)[1] == expected[1]
+                ref_args = (twin.matrix.shape, twin.atom, twin.analysis, y, k, table, True,
+                            twin.gram_column)
+                with monkeypatch.context() as m:
+                    m.setattr(projections, "_Residual", Handover)
+                    closure = _assert_gram_matches(monkeypatch, twin, args, ref_args)[1]
+                assert eps_omp_recover(y, M, D, k, eps)[1] == closure
+    if name in ("complex", "dft4"):
+        # two of their pursuits past the rank pick within 0.1 ||M d_i|| of
+        # the span of the earlier picks, and the re-fit hands over
+        assert handovers
 
 
 @pytest.mark.parametrize("field_tag", ("real", "complex"))

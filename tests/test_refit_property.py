@@ -7,7 +7,7 @@ a column already in the span (a duplicated atom, any column past the rank of
 a rank-deficient dictionary, a zero column) must add no basis vector and no
 NaN.
 
-``projections._GramResidual``, the re-fit of a dictionary's own atoms, keeps
+``projections._GramResidual``, the re-fit of every re-fitting pursuit, keeps
 only A^H r while the picks are well conditioned and hands a pick near the
 span of the earlier ones to a signal-space ``_Residual``. After every added column
 its A^H r must equal ``A^H (z - project(A, picks, z))``, its rank must equal
@@ -20,8 +20,8 @@ neighbouring atoms are nearly collinear, are clustered.
 Every dictionary feeds the greedy core the Gram columns of its own atoms
 (``Dictionary.gram_column``): a dense one caches each column it computes,
 the overcomplete DFT keeps one row of its circulant Gram matrix and rolls
-it. The measured atoms of ``eps_omp_recover`` and eps-thresholding read
-none.
+it. The measured atoms of ``eps_omp_recover`` compute theirs per pick and
+never enter that cache, and eps-thresholding reads none.
 """
 
 import numpy as np

@@ -9,9 +9,10 @@ warm-up included, as perfbench does), runs its three methods on the next
 --rounds problems and prints one JSON object: a sha256 over every estimate,
 support and sscosamp report (stop reason, iterations, residual, trace), the
 mean op time, and per op the Gram-column lookups, the Gram columns computed
-(lookups that missed the dictionary's cache), the project calls and the SVDs
-of orthonormal_range. Two trees with the same digest gave the same outputs
-bit for bit.
+(lookups that missed the dictionary's cache), the hand-overs of a re-fit to
+signal space (projections._Residual constructions), the project calls and the
+SVDs of orthonormal_range. Two trees with the same digest gave the same
+outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ def main(argv=None) -> int:
     tree = Path(args.tree).resolve()
     sys.path[:0] = [str(tree / "src"), str(tree)]
     from perfbench import workloads
-    from sigspace import dictionaries, linalg, recovery
+    from sigspace import dictionaries, linalg, projections, recovery
 
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.build("recover-incoherent", args.seed, Path(tmp))
-    counts = {"gram_lookups": 0, "gram_computed": 0, "project": 0, "svd": 0}
+    counts = {"gram_lookups": 0, "gram_computed": 0, "handovers": 0, "project": 0, "svd": 0}
     gram_column = dictionaries.Dictionary.gram_column
     project = recovery.project
     orthonormal_range = linalg.orthonormal_range
@@ -47,6 +48,11 @@ def main(argv=None) -> int:
         counts["gram_lookups"] += 1
         counts["gram_computed"] += i not in self._gram_cache
         return gram_column(self, i)
+
+    class CountingResidual(projections._Residual):
+        def __init__(self, *init_args):
+            counts["handovers"] += 1
+            super().__init__(*init_args)
 
     def counting_project(*call):
         counts["project"] += 1
@@ -57,6 +63,7 @@ def main(argv=None) -> int:
         return orthonormal_range(A)
 
     dictionaries.Dictionary.gram_column = counting_gram_column
+    projections._Residual = CountingResidual
     recovery.project = counting_project
     linalg.orthonormal_range = counting_orthonormal_range
     digest = hashlib.sha256()
