@@ -7,12 +7,14 @@ Run from the root of a checkout, on that checkout or on another tree:
 It builds the perfbench recover-incoherent workload of the tree (set-up and
 warm-up included, as perfbench does), runs its three methods on the next
 --rounds problems and prints one JSON object: a sha256 over every estimate,
-support and sscosamp report (stop reason, iterations, residual, trace), the
-mean op time, and per op the Gram-column lookups, the Gram columns computed
+support and sscosamp report (stop reason, iterations, residual, trace), a
+sha256 over the supports and stop reasons only, the mean op time, and per op the Gram-column lookups, the Gram columns computed
 (lookups that missed the dictionary's cache), the hand-overs of a re-fit to
 signal space (projections._Residual constructions), the project calls and the
 SVDs of orthonormal_range. Two trees with the same digest gave the same
-outputs bit for bit.
+outputs bit for bit; two with the same supports_digest chose the same supports
+and stopped for the same reasons, which is what a change that only rounds
+differently has to keep.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def main(argv=None) -> int:
     recovery.project = counting_project
     linalg.orthonormal_range = counting_orthonormal_range
     digest = hashlib.sha256()
+    supports_digest = hashlib.sha256()
     ops = 0
     busy = 0.0
     for index in range(args.rounds):
@@ -78,14 +81,17 @@ def main(argv=None) -> int:
             ops += 1
             digest.update(x_hat.tobytes())
             digest.update(repr(support.indices).encode())
+            supports_digest.update(repr(support.indices).encode())
             if report is not None:
                 digest.update(repr((report.stop_reason, report.iterations,
                                     report.residual_norm, report.trace)).encode())
+                supports_digest.update(report.stop_reason.encode())
     per_op = {f"{name}_per_op": round(count / ops, 3) for name, count in counts.items()}
     print(json.dumps({
         "seed": args.seed,
         "ops": ops,
         "digest": digest.hexdigest(),
+        "supports_digest": supports_digest.hexdigest(),
         "op_ms": round(1000.0 * busy / ops, 3),
         **per_op,
         "gram_cache_columns": len(workload.D._gram_cache),
