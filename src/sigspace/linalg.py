@@ -192,12 +192,49 @@ def captured_and_residual_sq(D: np.ndarray, T: SupportSet, z: np.ndarray) -> tup
     return cap, max(total - cap, 0.0)
 
 
+# ||R||_F ||R^-1||_F bounds the condition number from above. A product below
+# _CERTIFY_MARGIN / rcond keeps the smallest singular value above ten times
+# the rank cut, far from any rank decision.
+_CERTIFY_MARGIN = 0.1
+
+
+def _min_norm_coef(A: np.ndarray, y: np.ndarray, rcond: float) -> np.ndarray:
+    """argmin ||A a - y||_2 of least norm, singular values at most rcond
+    sigma_max taken as zero (the three branches of ls_synthesize)."""
+    m, s = A.shape
+    if s > m:
+        return np.linalg.lstsq(A, y, rcond=rcond)[0]
+    # [A | y] = Q R: R_s = R[:s, :s] has A's singular values, and Q^H y's
+    # first s entries are R[:s, s]
+    R = np.linalg.qr(np.column_stack((A, y)), mode="r")
+    R_s, qy = R[:s, :s], R[:s, s]
+    try:  # [R_s^-1 q_y | R_s^-1], by back substitution
+        X = np.linalg.solve(R_s, np.column_stack((qy, np.eye(s, dtype=R.dtype))))
+    except np.linalg.LinAlgError:  # an exactly zero pivot
+        X = None
+    if X is not None and _norm(R_s) * _norm(X[:, 1:]) * rcond < _CERTIFY_MARGIN:
+        return X[:, 0]
+    U, sigma, Vh = np.linalg.svd(R_s)
+    keep = sigma > rcond * sigma[0]
+    return Vh[keep].conj().T @ ((U[:, keep].conj().T @ qy) / sigma[keep])
+
+
 def ls_synthesize(M: np.ndarray, D: np.ndarray, T: SupportSet, y: np.ndarray) -> np.ndarray:
     """Signal-space least-squares fit restricted to a support.
 
     Returns x_p = D_T a where a = argmin ||M D_T a - y||_2, taking the
     minimum-norm solution when M D_T is rank deficient. The output always
     lies in range(D_T); an empty support gives the zero signal.
+
+    The fit takes one of three branches. With no more columns than rows,
+    [M D_T | y] = Q R is factored once, and R's leading square block R_s has
+    the singular values of M D_T:
+    * certified: when ||R_s||_F ||R_s^-1||_F certifies a condition number
+      far below 1 / rank_rcond, a solves R_s a = Q^H y;
+    * truncated SVD: otherwise a comes from the SVD of R_s, cut at
+      rank_rcond like lstsq.
+    Wider supports take lstsq itself. The QR branches give lstsq's answer,
+    rounded differently.
     """
     out_dtype = np.result_type(M, D, y)
     if len(T) == 0:
@@ -206,13 +243,13 @@ def ls_synthesize(M: np.ndarray, D: np.ndarray, T: SupportSet, y: np.ndarray) ->
     A = _matmul(M, cols)
     rcond = rank_rcond(A.shape)
     try:
-        coef = np.linalg.lstsq(A, y, rcond=rcond)[0]
+        coef = _min_norm_coef(A, y, rcond)
     except np.linalg.LinAlgError:
         # LAPACK's SVD can fail to converge on a well-posed A and converge on
         # A / ||A||_F. rcond is relative, so that problem has the same
         # minimum-norm solution, times ||A||_F.
         scale = np.linalg.norm(A)
-        coef = np.linalg.lstsq(A / scale, y, rcond=rcond)[0] / scale
+        coef = _min_norm_coef(A / scale, y, rcond) / scale
     return cols @ coef
 
 

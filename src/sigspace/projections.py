@@ -213,6 +213,7 @@ class _GramResidual:
         self._rows = np.empty((capacity, c.shape[0]), dtype=dtype)
         self._s = np.empty(capacity, dtype=dtype)
         self._ws = np.empty(c.shape[0], dtype=dtype)  # w s of the latest direction
+        self._complex = self._rows.dtype.kind == "c"
         self._rcond = rcond
         self._taken: list[int] = []  # the columns that added a direction
         self._residual: _Residual | None = None
@@ -234,10 +235,17 @@ class _GramResidual:
             if nu_sq >= self.NEAR_SPAN * self.NEAR_SPAN * a_sq:
                 nu = math.sqrt(nu_sq)
                 w = self._rows[rank]
-                w[...] = g
                 if rank:
-                    w -= wi.conj() @ rows
-                w /= nu
+                    np.subtract(g, wi.conj() @ rows, out=w)
+                else:
+                    w[...] = g
+                if self._complex:
+                    # w /= nu multiplies each part by 1 / nu; a real kernel does
+                    # the same on the interleaved parts
+                    parts = w.view(np.float64)
+                    parts *= 1.0 / nu
+                else:
+                    w /= nu
                 s = self._s[rank] = (self._c0[i] - wi @ self._s[:rank]) / nu
                 self.c -= np.multiply(w, s, out=self._ws)
                 self._taken.append(i)

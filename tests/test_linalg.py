@@ -10,6 +10,7 @@ from sigspace import (
     ls_synthesize,
     orthonormal_range,
     project,
+    rank_rcond,
     rng_from,
     subdict,
     top_k_indices,
@@ -140,6 +141,62 @@ class TestProjection:
         assert np.allclose(project(D, T, z), z, atol=1e-12)
 
 
+def _ls_noise(rng, shape, complex_field):
+    if complex_field:
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
+
+
+def _ls_gaussian(seed, m, n_support, complex_field, d=12, n=20):
+    """(M, D, T, y): a Gaussian m x d M (real, as in the sweeps), a Gaussian
+    D of n atoms and a support of n_support of them."""
+    rng = rng_from(36, seed)
+    D = _ls_noise(rng, (d, n), complex_field)
+    M = rng.standard_normal((m, d))
+    T = SupportSet.from_iterable(rng.choice(n, size=n_support, replace=False), n)
+    return M, D, T, _ls_noise(rng, m, complex_field)
+
+
+def _ls_duplicated(complex_field):
+    M, D, T, y = _ls_gaussian(1, 10, 5, complex_field)
+    i = T.indices[0]
+    j = next(j for j in range(D.shape[1]) if j not in T)
+    D[:, j] = D[:, i]
+    return M, D, T.union(SupportSet((j,), D.shape[1])), y
+
+
+def _ls_rank_deficient(complex_field):
+    M, D, T, y = _ls_gaussian(2, 10, 6, complex_field)
+    rng = rng_from(37)
+    D = D[:, :3] @ _ls_noise(rng, (3, D.shape[1]), complex_field)
+    return M, D, T, y
+
+
+def _ls_near_the_cut(complex_field):
+    """M = I and D_T with singular values from 1 down to 3 times the cut:
+    full rank, but too close to the cut for the QR certificate."""
+    rng = rng_from(38)
+    m, s = 10, 6
+    U = np.linalg.qr(_ls_noise(rng, (m, s), complex_field))[0]
+    V = np.linalg.qr(_ls_noise(rng, (s, s), complex_field))[0]
+    sigma = np.logspace(0, np.log10(3 * rank_rcond((m, s))), s)
+    D = (U * sigma) @ V.conj().T
+    return np.eye(m), D, SupportSet(tuple(range(s)), s), _ls_noise(rng, m, complex_field)
+
+
+LS_INSTANCES = {
+    "full-rank": lambda c: _ls_gaussian(0, 10, 6, c),
+    "near-the-cut": _ls_near_the_cut,
+    "duplicated": _ls_duplicated,
+    "rank-deficient": _ls_rank_deficient,
+    "wider": lambda c: _ls_gaussian(3, 4, 6, c),
+}
+# the branch of ls_synthesize each instance takes, and the rank it keeps
+LS_BRANCHES = {"full-rank": "certified", "near-the-cut": "svd", "duplicated": "svd",
+               "rank-deficient": "svd", "wider": "lstsq"}
+LS_RANKS = {"full-rank": 6, "near-the-cut": 6, "duplicated": 5, "rank-deficient": 3, "wider": 4}
+
+
 class TestLsSynthesize:
     def test_normal_equations_and_range(self):
         for trial in range(300):
@@ -205,26 +262,55 @@ class TestLsSynthesize:
     def test_a_solve_that_does_not_converge_is_solved_scaled(self, monkeypatch):
         # LAPACK's SVD can fail on a well-posed matrix and converge on it
         # scaled by 1 / ||A||_F; the scaled solve has the same min-norm answer.
-        rng = rng_from(34)
-        D = rng.standard_normal((12, 20)) + 1j * rng.standard_normal((12, 20))
-        M = rng.standard_normal((10, 12))
-        y = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        T = SupportSet((1, 4, 5, 9, 13, 17), 20)
-        expected = ls_synthesize(M, D, T, y)
-        lstsq = np.linalg.lstsq
+        # Each fallback's own SVD call fails once: the SVD of R on a support
+        # that the QR certificate refuses, and lstsq on a wider one.
+        for name, call in (("duplicated", "svd"), ("wider", "lstsq")):
+            M, D, T, y = LS_INSTANCES[name](True)
+            expected = ls_synthesize(M, D, T, y)
+            solver = getattr(np.linalg, call)
+            calls = []
+
+            def fails_once(A, *args, **kwargs):
+                calls.append(np.linalg.norm(A))
+                if len(calls) == 1:
+                    raise np.linalg.LinAlgError("SVD did not converge")
+                return solver(A, *args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg.np.linalg, call, fails_once)
+                x = ls_synthesize(M, D, T, y)
+            assert len(calls) == 2
+            assert abs(calls[1] - 1.0) <= 1e-14  # the retry solves A / ||A||_F
+            assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("name", sorted(LS_BRANCHES))
+    def test_fits_match_the_truncated_svd_reference(self, name, complex_field, monkeypatch):
+        """Each instance takes its expected branch and gives D_T a for the
+        minimum-norm a of the dense truncated SVD of M D_T at the rank_rcond
+        cut, within rounding: 16 eps times the condition number of what is
+        kept (the reference and lstsq differ by up to 1.6 eps times it)."""
+        M, D, T, y = LS_INSTANCES[name](complex_field)
+        A = M @ subdict(D, T)
+        U, sigma, Vh = np.linalg.svd(A, full_matrices=False)
+        keep = sigma > rank_rcond(A.shape) * sigma[0]
+        want = subdict(D, T) @ (Vh[keep].conj().T @ ((U[:, keep].conj().T @ y) / sigma[keep]))
         calls = []
+        with monkeypatch.context() as patch:
+            for call in ("solve", "svd", "lstsq"):
+                solver = getattr(np.linalg, call)
 
-        def fails_once(A, b, rcond):
-            calls.append(np.linalg.norm(A))
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-            return lstsq(A, b, rcond=rcond)
+                def recording(*args, _call=call, _solver=solver, **kwargs):
+                    calls.append(_call)
+                    return _solver(*args, **kwargs)
 
-        monkeypatch.setattr(linalg.np.linalg, "lstsq", fails_once)
-        x = ls_synthesize(M, D, T, y)
-        assert len(calls) == 2
-        assert abs(calls[1] - 1.0) <= 1e-14  # the retry solves A / ||A||_F
-        assert np.linalg.norm(x - expected) <= 1e-13 * np.linalg.norm(expected)
+                patch.setattr(linalg.np.linalg, call, recording)
+            x = ls_synthesize(M, D, T, y)
+        branch = "lstsq" if "lstsq" in calls else "svd" if "svd" in calls else "certified"
+        assert branch == LS_BRANCHES[name]
+        assert keep.sum() == LS_RANKS[name]
+        kept_condition = sigma[0] / sigma[keep][-1]
+        assert np.linalg.norm(x - want) <= 16 * EPS * kept_condition * np.linalg.norm(want)
 
 
 class TestMatmul:

@@ -410,6 +410,53 @@ def test_measured_atoms_match_the_reference(name, monkeypatch):
         assert handovers
 
 
+def _badly_conditioned(seed):
+    """A 10 x n dictionary of rank 2 to 7 whose column norms spread from 1e-2
+    to 1e2, a Gaussian 8 x 10 M, a generic signal and a 3-atom one."""
+    rng = rng_from(seed)
+    n, rank = int(rng.integers(12, 25)), int(rng.integers(2, 8))
+    A = rng.standard_normal((10, rank)) @ rng.standard_normal((rank, n))
+    D = Dictionary(A / np.linalg.norm(A, axis=0) * 10.0 ** rng.uniform(-2, 2, n))
+    M = rng.standard_normal((8, 10)) / math.sqrt(8)
+    generic = rng.standard_normal(10)
+    sparse = D.matrix[:, rng.choice(n, 3, replace=False)] @ rng.standard_normal(3)
+    return D, M, (generic, sparse)
+
+
+def test_a_measured_pick_near_the_span_hands_over_and_adds_a_direction(monkeypatch):
+    """eps_omp_recover's pursuit on a badly conditioned dictionary: for both
+    signals a pick within 0.1 ||M d_i|| of the span of the earlier picks,
+    made while max|A^H r| is above 1e-3 max|A^H y|, hands the re-fit over to
+    signal space and adds a direction there. Every tracked A^H r, before and
+    after the hand-over, must match the dense twin's by the rule of
+    _assert_gram_matches."""
+    D, M, signals = _badly_conditioned(900021)
+    twin = Dictionary(M @ D.matrix)
+    handovers = []
+
+    class Handover(projections._GramResidual):
+        def add(self, i, g):
+            rank, peak = self.rank, float(np.abs(self.c).max())
+            handed = self._residual is None
+            super().add(i, g)
+            if handed and self._residual is not None:
+                handovers.append((self.rank - rank, peak / float(np.abs(self._c0).max())))
+
+    table = D.neighbor_table(0.0)
+    for z in signals:
+        y = M @ z
+        args = ((M.shape[0], D.n), lambda i: M @ D.matrix[:, i],
+                lambda r: D.analysis(_adjoint_apply(M, r)), y, 10, table)
+        ref_args = (twin.matrix.shape, twin.atom, twin.analysis, y, 10, table, True,
+                    twin.gram_column)
+        handovers.clear()
+        with monkeypatch.context() as m:
+            m.setattr(projections, "_GramResidual", Handover)
+            closure = _assert_gram_matches(monkeypatch, twin, args, ref_args)[1]
+        assert eps_omp_recover(y, M, D, 10, 0.0)[1] == closure
+        assert [added for added, peak in handovers if peak > 1e-3] == [1]
+
+
 @pytest.mark.parametrize("field_tag", ("real", "complex"))
 def test_recoveries_match_the_reference_loop(field_tag, monkeypatch):
     """sscosamp with omp and eps-omp and eps_omp_recover, on the core and on

@@ -236,6 +236,74 @@ def test_int_seed_is_the_measurement_salted_sequence():
     assert_same_array(a, b)
 
 
+# The children's PCG64 states are computed without building the children
+# (numpy's SeedSequence hash, vectorized over the last spawn-key word); the
+# matrices below must still be those of the spawned children.
+
+
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+@pytest.mark.parametrize("m", [64, 160, 224])
+def test_fig2_measurement_matrices_match_reference(field_tag, m):
+    for trial in (0, 3):
+        seed = seed_sequence(7, SALT_MEASUREMENT, m, trial)
+        got = gaussian_measurements(m, 256, seed, field_tag=field_tag).matrix
+        want = ref_gaussian_measurements(m, 256, seed_sequence(7, SALT_MEASUREMENT, m, trial), field_tag)
+        assert_same_array(got, want)
+
+
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+@pytest.mark.parametrize("seed", [2**32 + 5, 3_500_000_000_000_000, 2**64 + 3, 2**96 - 1])
+def test_measurement_matrices_from_multiword_seeds_match_reference(field_tag, seed):
+    # seeds of two, three and four uint32 words, as ints and inside a sequence
+    assert_same_array(gaussian_measurements(5, 17, seed, field_tag=field_tag).matrix,
+                      ref_gaussian_measurements(5, 17, seed, field_tag))
+    got = gaussian_measurements(5, 17, seed_sequence(seed, SALT_MEASUREMENT, 96, 2), field_tag)
+    want = ref_gaussian_measurements(5, 17, seed_sequence(seed, SALT_MEASUREMENT, 96, 2), field_tag)
+    assert_same_array(got.matrix, want)
+
+
+def _twins(*args, **kwargs):
+    return np.random.SeedSequence(*args, **kwargs), np.random.SeedSequence(*args, **kwargs)
+
+
+@pytest.mark.parametrize("field_tag", ["real", "complex"])
+@pytest.mark.parametrize(
+    "entropy, spawn_key",
+    [(11, ()), ([11, SALT_MEASUREMENT], ()), ([1, 2, 3, 4, 5, 6], ()), ([11], (4, 2**33))],
+)
+def test_a_seed_sequence_advances_as_spawn_advances_it(field_tag, entropy, spawn_key):
+    """A parent that has spawned children already, then two calls on one
+    object: the reference's first and second d children, and the same
+    state afterwards."""
+    seq, ref = _twins(entropy, spawn_key=spawn_key)
+    seq.spawn(3)
+    ref.spawn(3)
+    for _ in range(2):
+        got = gaussian_measurements(6, 10, seq, field_tag=field_tag).matrix
+        assert_same_array(got, ref_gaussian_measurements(6, 10, ref, field_tag))
+        assert seq.n_children_spawned == ref.n_children_spawned
+        assert seq.spawn_key == ref.spawn_key and seq.entropy == ref.entropy
+        assert seq.pool.tobytes() == ref.pool.tobytes()
+    assert [c.spawn_key for c in seq.spawn(2)] == [c.spawn_key for c in ref.spawn(2)]
+
+
+class _Subclassed(np.random.SeedSequence):
+    pass
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: np.random.SeedSequence([5, "0x1f"]), lambda: np.random.SeedSequence(5, pool_size=8),
+     lambda: _Subclassed(5)],
+    ids=["str-entropy", "pool-size-8", "subclass"],
+)
+def test_sequences_outside_the_replicated_hash_are_spawned(make):
+    seq, ref = make(), make()
+    got = gaussian_measurements(4, 6, seq, field_tag="complex").matrix
+    assert_same_array(got, ref_gaussian_measurements(4, 6, ref, "complex"))
+    assert seq.n_children_spawned == ref.n_children_spawned == 6
+
+
 # ---------------------------------------------------------------------------
 # sparse signals
 

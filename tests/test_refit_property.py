@@ -24,6 +24,8 @@ it. The measured atoms of ``eps_omp_recover`` compute theirs per pick and
 never enter that cache, and eps-thresholding reads none.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -335,3 +337,67 @@ def test_add_noise_draws(complex_field):
     expected = v + 0.25 * g / np.linalg.norm(g)
     assert add_noise(v, 0.25, seed).tobytes() == expected.tobytes()
     assert add_noise(v, 0.0, seed) is v
+
+
+class _DividingGramResidual(projections._GramResidual):
+    """_GramResidual with its previous row update, copied verbatim: the new
+    row is written as g, h W is subtracted in place and the row is divided
+    by nu."""
+
+    def add(self, i, g):
+        fit = self._residual
+        if fit is None:
+            rank = self.rank
+            if rank == self._rows.shape[0]:
+                return
+            rows = self._rows[:rank]
+            wi = rows[:, i]  # conj(h)
+            a_sq = float(g[i].real)
+            nu_sq = a_sq - float(np.vdot(wi, wi).real)
+            if nu_sq <= self._rcond * a_sq:
+                return
+            if nu_sq >= self.NEAR_SPAN * self.NEAR_SPAN * a_sq:
+                nu = math.sqrt(nu_sq)
+                w = self._rows[rank]
+                w[...] = g
+                if rank:
+                    w -= wi.conj() @ rows
+                w /= nu
+                s = self._s[rank] = (self._c0[i] - wi @ self._s[:rank]) / nu
+                self.c -= np.multiply(w, s, out=self._ws)
+                self._taken.append(i)
+                self.rank += 1
+                return
+            fit = self._residual = projections._Residual(
+                self._z, self.c.dtype, self._rows.shape[0], self._rcond)
+            for j in self._taken:
+                fit.add(self._column(j))
+        fit.add(self._column(i))
+        self.c = self._analysis(fit.r)
+        self.rank = fit.rank
+
+
+@pytest.mark.parametrize("name", ["real", "complex", "dft4", "dft16", "rank4-scaled"])
+@pytest.mark.parametrize("complex_signal", [False, True])
+def test_rows_are_scaled_with_the_bytes_of_a_division(name, complex_signal):
+    """A complex row is scaled by multiplying its real and imaginary parts
+    by 1 / nu, which is what dividing it by the real nu computes: every row,
+    scalar and tracked A^H r must equal the dividing form's byte for byte."""
+    A = MATRICES[name]()
+    z = _noise(rng_from(418), A.shape[0], complex_signal)
+    dtype = np.result_type(A, z)
+    AH = A.conj().T
+    fits = [
+        kind(z, AH @ z, lambda i: A[:, i], lambda r: AH @ r, dtype, A.shape[0], rank_rcond(A.shape))
+        for kind in (projections._GramResidual, _DividingGramResidual)
+    ]
+    for i in _omp_order(A, z):
+        g = AH @ A[:, i]
+        for fit in fits:
+            fit.add(i, g)
+        got, want = fits
+        assert got.rank == want.rank
+        assert got.c.tobytes() == want.c.tobytes()
+        assert got._rows[: got.rank].tobytes() == want._rows[: want.rank].tobytes()
+        assert got._s[: got.rank].tobytes() == want._s[: want.rank].tobytes()
+    assert fits[0].rank >= 3
