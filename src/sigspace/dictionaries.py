@@ -75,9 +75,13 @@ class Dictionary:
     (Batch-OMP). A dense dictionary caches each Gram column as it is first
     computed and keeps it: at most n columns, the whole n x n Gram matrix
     (n^2 entries, 8 MiB for a real n = 1024), each computed once. The
-    overcomplete DFT's Gram matrix is circulant, so it keeps one row and
-    rolls it. The Gram columns of measured atoms M d_i depend on M and are
-    never cached here.
+    overcomplete DFT's Gram matrix is circulant, so it keeps one row,
+    written twice, and every Gram column is a view into it. The Gram columns
+    of measured atoms M d_i depend on M and are never cached here.
+
+    overcomplete_dft stores its matrix column-major, the layout in which
+    load_container returns every payload, so each atom is contiguous and a
+    built and a loaded DFT share one memory layout.
     """
 
     matrix: np.ndarray
@@ -131,21 +135,32 @@ class Dictionary:
     def gram_column(self, i: int) -> np.ndarray:
         """D^H d_i, read-only, computed by analysis on first use and kept.
 
-        <d_j, d_i> of the overcomplete DFT depends only on (j - i) mod n, so
-        its only cached entry is g_0 = D^H d_0 and column i is g_0 rolled by i,
-        joined from two slices of g_0.
+        i indexes like matrix[:, i]: -n <= i < n, a negative i counting from
+        the end (and sharing the cache entry of i + n), and any other i
+        raises IndexError. <d_j, d_i> of the overcomplete DFT depends only on
+        (j - i) mod n, so its only cached entry is the doubled row
+        [g_0 | g_0], g_0 = D^H d_0, and column i (g_0 rolled by i) is the
+        view of its n entries from n - i on.
         """
-        key = 0 if self._fft else i
-        g = self._gram_cache.get(key)
-        if g is None:
-            g = self.analysis(self.matrix[:, key])
-            g.flags.writeable = False
-            self._gram_cache[key] = g
-        if self._fft:
-            cut = self.n - i
-            g = np.concatenate((g[cut:], g[:cut]))
-            g.flags.writeable = False
-        return g
+        n = self.n
+        if not -n <= i < n:
+            raise IndexError(f"index {i} is out of bounds for axis 1 with size {n}")
+        if i < 0:
+            i += n  # one cache entry per column
+        if not self._fft:
+            g = self._gram_cache.get(i)
+            if g is None:
+                g = self.analysis(self.matrix[:, i])
+                g.flags.writeable = False
+                self._gram_cache[i] = g
+            return g
+        row = self._gram_cache.get(0)
+        if row is None:
+            g0 = self.analysis(self.matrix[:, 0])
+            row = np.concatenate((g0, g0))
+            row.flags.writeable = False
+            self._gram_cache[0] = row
+        return row[n - i:2 * n - i]
 
     def correlation_rows(self, indices: np.ndarray) -> np.ndarray:
         """|<d_i, d_j>| / (||d_i|| ||d_j||) for j in indices, all i; shape (len(indices), n)."""
@@ -215,15 +230,18 @@ def overcomplete_dft(d: int, redundancy: int) -> Dictionary:
 
     n = d * redundancy. Atoms are unit norm by the 1/sqrt(d) scale; adjacent
     atoms of the 4x version correlate at about 0.9003, which is what makes the
-    clustered experiments hard for plain greedy selection.
+    clustered experiments hard for plain greedy selection. The matrix is
+    column-major (Fortran order), so every atom is contiguous in memory.
     """
     if d < 1 or redundancy < 1:
         raise ValueError("d and redundancy must be positive")
     n = d * redundancy
-    t = np.arange(d)[:, None]
-    j = np.arange(n)[None, :]
-    mat = np.exp((2j * np.pi / n) * (t * j)) / np.sqrt(d)
-    D = Dictionary(mat, kind="dft", redundancy=redundancy, unit_norm=True)
+    # the n x d transpose, computed in place: entry (j, t) gets the bits of
+    # exp(2 pi i t j / n) / sqrt(d), and its .T is the column-major matrix
+    atoms = (2j * np.pi / n) * (np.arange(n)[:, None] * np.arange(d))
+    np.exp(atoms, out=atoms)
+    atoms /= np.sqrt(d)
+    D = Dictionary(atoms.T, kind="dft", redundancy=redundancy, unit_norm=True)
     D._fft = True
     return D
 
@@ -342,7 +360,11 @@ def gaussian_measurements(
     spawn child j of the seed, so the matrix is identical no matter how
     generation is split. The children's PCG64 states are computed without
     building the children, and one generator, set to each state in turn,
-    draws the columns. A SeedSequence seed advances as spawn(d) advances it.
+    draws the columns: each is drawn as a vector (_gaussian) and written
+    into its column of the row-major M, which is scaled once at the end.
+    (Drawing a real column in place into a column-major buffer measured no
+    faster: per column, setting the state and calling the draw dominate.)
+    A SeedSequence seed advances as spawn(d) advances it.
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be positive")

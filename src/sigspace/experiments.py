@@ -26,7 +26,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -131,7 +131,10 @@ class TrialConfig:
             raise ValueError("max_iters must be >= 1")
 
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode("utf-8")
+        """sha256 of the fields as sorted-key JSON (the variant's as a nested
+        object, as dataclasses.asdict gives them), its first 16 hex digits."""
+        fields = dict(self.__dict__, variant=self.variant.__dict__)
+        blob = json.dumps(fields, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -16,7 +16,9 @@ nor infinite; the range checks after it can then trust their comparisons.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,10 +55,10 @@ class SupportSet:
 
     def __post_init__(self) -> None:
         idx = self.indices
-        if any(not isinstance(i, int) for i in idx):
-            object.__setattr__(self, "indices", tuple(int(i) for i in idx))
-            idx = self.indices
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if not all(map(isinstance, idx, repeat(int))):
+            idx = tuple(map(int, idx))
+            object.__setattr__(self, "indices", idx)
+        if not all(map(operator.lt, idx, idx[1:])):
             raise ValueError("support indices must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= self.universe):
             raise ValueError(

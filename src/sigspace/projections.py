@@ -120,7 +120,7 @@ def threshold_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     if not 1 <= k <= D.n:
         raise ValueError("threshold requires 1 <= k <= n")
     corr = np.abs(D.analysis(z))
-    return SupportSet(tuple(int(i) for i in top_k_indices(corr, k)), D.n)
+    return SupportSet(tuple(top_k_indices(corr, k).tolist()), D.n)
 
 
 class _Residual:
