@@ -2,13 +2,11 @@
 
 Randomness contract: every generator in the package is a PCG64 seeded through a
 ``numpy.random.SeedSequence`` whose entropy is a list of nonnegative integers
-``[base_seed, salt, index...]``. Gaussian measurement matrices draw each column
-from ``SeedSequence(...).spawn(j)`` children, so any subset of columns can be
-produced independently and the matrix content never depends on how the work is
-scheduled. The children's generator states are computed without building the
-children (numpy's SeedSequence hash, vectorized over the child index). Every
-Gaussian vector is a standard normal draw of its length; a complex one takes
-the real parts first, then the imaginary parts.
+``[base_seed, salt, index...]``, and only numpy's public seeding is used. A
+Gaussian measurement matrix is one (m, d) standard normal block from one such
+generator, so it depends on its seed alone, never on how the work is
+scheduled. Every Gaussian array is a standard normal draw of its shape; a
+complex one takes the real parts first, then the imaginary parts.
 """
 
 from __future__ import annotations
@@ -48,8 +46,10 @@ def _as_seed_sequence(seed: int | np.random.SeedSequence, salt: int) -> np.rando
     return seed if isinstance(seed, np.random.SeedSequence) else seed_sequence(seed, salt)
 
 
-def _gaussian(rng: np.random.Generator, size: int, complex_field: bool) -> np.ndarray:
-    """A standard normal vector: standard_normal(size), or for a complex field
+def _gaussian(
+    rng: np.random.Generator, size: int | tuple[int, int], complex_field: bool
+) -> np.ndarray:
+    """A standard normal array: standard_normal(size), or for a complex field
     the real parts drawn first, then the imaginary parts."""
     if not complex_field:
         return rng.standard_normal(size)
@@ -258,95 +258,6 @@ def random_orthogonal_dictionary(d: int, seed: int) -> Dictionary:
     return Dictionary(Q, kind="unitary", redundancy=1, unit_norm=True)
 
 
-# numpy's SeedSequence hash and PCG64's seeding (pcg_setseq_128_srandom_r),
-# replicated so that the states of many spawn children are computed at once.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _uint32_words(x) -> list[int] | None:
-    """The uint32 words SeedSequence reads from an int or a (nested) sequence
-    of ints, low word first; None for any other entropy."""
-    if isinstance(x, (int, np.integer)):
-        n = int(x)
-        words = [n & _MASK32]
-        while n > _MASK32:
-            n >>= 32
-            words.append(n & _MASK32)
-        return words
-    if not isinstance(x, (list, tuple, range, np.ndarray)):
-        return None
-    words = []
-    for v in x:
-        part = _uint32_words(v)
-        if part is None:
-            return None
-        words += part
-    return words
-
-
-def _child_states(seq: np.random.SeedSequence, d: int) -> list[tuple[int, int]] | None:
-    """PCG64's (state, inc) as seeded by each of seq's next d spawn children,
-    computed without building the children; None where the replication does
-    not apply. seq is not advanced.
-
-    A child's entropy words are seq's (padded with zeros to four) and its
-    spawn key, whose last word is the child's index. The words before it and
-    the hash constants are the same for every child, so only the mixing of
-    that last word and generate_state(4, uint64) run per child, vectorized in
-    uint32 arithmetic.
-    """
-    run = _uint32_words(seq.entropy)
-    key = _uint32_words(seq.spawn_key)
-    first = seq.n_children_spawned
-    if (type(seq) is not np.random.SeedSequence or seq.pool_size != 4 or run is None
-            or key is None or first + d > _MASK32 + 1):
-        return None
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    words = run + [0] * (4 - len(run)) + key
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [mix(p, hashmix(w)) for p in pool]
-    # uint64 arrays hold the uint32 values; every product is masked back
-    index = np.arange(first, first + d, dtype=np.uint64)
-    pool = [mix(p, hashmix(index)) for p in pool]
-    out = []
-    hash_const = _INIT_B
-    for i in range(8):  # generate_state: eight words, cycling over the pool
-        value = pool[i % 4] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        out.append(value ^ (value >> 16))
-    # generate_state(4, uint64) joins them in pairs, low word first:
-    # PCG64 reads (seed high, seed low, inc high, inc low)
-    seed_hi, seed_lo, inc_hi, inc_lo = ((out[w] | out[w + 1] << 32).tolist() for w in range(0, 8, 2))
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
-        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
 def gaussian_measurements(
     m: int,
     d: int,
@@ -356,36 +267,18 @@ def gaussian_measurements(
     """i.i.d. Gaussian measurement operator with E|entry|^2 = 1/m.
 
     field_tag "real" draws N(0, 1/m) entries; "complex" draws circular complex
-    Gaussians of the same second moment. Column j comes from a PCG64 seeded by
-    spawn child j of the seed, so the matrix is identical no matter how
-    generation is split. The children's PCG64 states are computed without
-    building the children, and one generator, set to each state in turn,
-    draws the columns: each is drawn as a vector (_gaussian) and written
-    into its column of the row-major M, which is scaled once at the end.
-    (Drawing a real column in place into a column-major buffer measured no
-    faster: per column, setting the state and calling the draw dominate.)
-    A SeedSequence seed advances as spawn(d) advances it.
+    Gaussians of the same second moment. M is one row-major (m, d) block
+    (_gaussian: for a complex field the real block first, then the imaginary
+    block) drawn by one PCG64 seeded by the seed's sequence, so it depends on
+    the seed alone. A SeedSequence seed is read, not advanced.
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be positive")
     if field_tag not in ("real", "complex"):
         raise ValueError("field_tag must be 'real' or 'complex'")
-    seq = _as_seed_sequence(seed, SALT_MEASUREMENT)
-    states = _child_states(seq, d)
-    if states is None:
-        states = [tuple(np.random.PCG64(child).state["state"].values()) for child in seq.spawn(d)]
-    else:
-        # what spawn(d) leaves: the same sequence with d more children spawned
-        seq.__init__(seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size,
-                     n_children_spawned=seq.n_children_spawned + d)
     complex_field = field_tag == "complex"
-    mat = np.empty((m, d), dtype=np.complex128 if complex_field else np.float64)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for j, (state, inc) in enumerate(states):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        mat[:, j] = _gaussian(rng, m, complex_field)
+    rng = np.random.Generator(np.random.PCG64(_as_seed_sequence(seed, SALT_MEASUREMENT)))
+    mat = _gaussian(rng, (m, d), complex_field)
     mat /= np.sqrt(2 * m if complex_field else m)
     return MeasurementModel(mat)
 

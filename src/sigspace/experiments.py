@@ -5,14 +5,17 @@ the same measurement matrix, signal and noise, so curves are comparable
 point by point. Trial inputs derive from (base_seed, salt, m, trial) seed
 sequences only, never from execution order, and every sweep runs through a
 spawned worker pool even for one worker, so results are identical no matter
-how many processes are used. The measurement matrix's seed does not depend on
-the support mode, so both geometries of a sweep see the same M at each
-(m, trial).
+how many processes are used. Each input is drawn by one generator of its own:
+M is one Gaussian block seeded by (base_seed, SALT_MEASUREMENT, m, trial),
+which does not depend on the support mode, so both geometries of a sweep see
+the same M at each (m, trial); the signal by (base_seed, SALT_SIGNAL, trial)
+and the noise by (base_seed, SALT_NOISE, m, trial).
 
 Success means relative signal error at most success_tol (default 1e-2), which
 in practice separates exact-support recoveries from misses by orders of
-magnitude. Clustered supports are contiguous circular blocks; separated
-supports keep every circular pairwise gap at least floor(n / 2k).
+magnitude. Clustered supports are contiguous circular blocks at a uniform
+start; separated supports are drawn uniformly, and exactly, from the sets
+whose every circular pairwise gap is at least floor(n / 2k).
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ CSV_HEADER = "variant,m,trials,successes,rate,mean_rel_error,mean_iters"
 # BLAS thread counts every sweep worker starts with (see _worker_pool).
 _WORKER_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-_SEPARATED_ATTEMPTS = 100_000
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
@@ -185,16 +187,25 @@ def _dictionary_for(d: int, redundancy: int) -> Dictionary:
 
 
 def _separated_support(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k of n circular positions, every circular gap at least floor(n / 2k),
+    uniform over all such sets.
+
+    A uniform start, then a uniform composition of the slack n - k*spacing
+    into k gaps (stars and bars: k - 1 bars among slack + k - 1 slots). Each
+    valid set arises from exactly k (start, composition) pairs, one per
+    choice of its first element, so every set is equally likely.
+    """
     spacing = n // (2 * k)
     if spacing < 1:
         raise ValueError(f"separation infeasible: n={n} too small for k={k}")
-    for _ in range(_SEPARATED_ATTEMPTS):
-        draw = np.sort(rng.choice(n, size=k, replace=False))
-        ends = draw.tolist()
-        ends.append(ends[0] + n)  # the gap that wraps around
-        if all(b - a >= spacing for a, b in zip(ends, ends[1:])):
-            return draw
-    raise RuntimeError("separated support sampling did not converge")
+    slack = n - k * spacing
+    start = int(rng.integers(n))
+    bars = np.sort(rng.choice(slack + k - 1, size=k - 1, replace=False))
+    # point i lies i spacings plus the slack before bar i - 1 (its slot
+    # minus the i - 1 bars before it) past the start
+    i = np.arange(1, k)
+    offsets = np.concatenate(([0], i * spacing + bars - (i - 1)))
+    return np.sort((start + offsets) % n).astype(np.intp, copy=False)
 
 
 def gen_sparse_signal(

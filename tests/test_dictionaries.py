@@ -138,11 +138,23 @@ class TestGaussianMeasurements:
         norms = np.linalg.norm(model.matrix, axis=0)
         assert norms.min() > 0.9 and norms.max() < 1.1
 
-    def test_prefix_columns_agree_across_widths(self):
-        # widening the operator must not disturb the columns already drawn
-        A = gaussian_measurements(6, 4, seed=8).matrix
-        B = gaussian_measurements(6, 9, seed=8).matrix
-        assert np.allclose(A, B[:, :4], atol=0)
+    def test_real_entries_have_variance_one_over_m(self):
+        m, d = 64, 512
+        M = gaussian_measurements(m, d, seed=6).matrix
+        assert M.dtype == np.float64 and M.shape == (m, d) and M.flags.c_contiguous
+        tol = 6 * np.sqrt(2 / M.size)  # relative sd of a sample second moment
+        assert abs(M.mean()) * np.sqrt(m) < 6 / np.sqrt(M.size)
+        assert abs(np.mean(M**2) * m - 1) < tol
+
+    def test_complex_entries_are_circular_with_variance_one_over_m(self):
+        m, d = 64, 512
+        M = gaussian_measurements(m, d, seed=7, field_tag="complex").matrix
+        assert M.dtype == np.complex128 and M.shape == (m, d) and M.flags.c_contiguous
+        tol = 6 * np.sqrt(2 / M.size)
+        assert abs(np.mean(M.real**2) * 2 * m - 1) < tol
+        assert abs(np.mean(M.imag**2) * 2 * m - 1) < tol
+        assert abs(np.mean(M**2)) * m < tol  # E[z^2] = 0 for a circular z
+        assert abs(M.mean()) * np.sqrt(m) < 6 / np.sqrt(M.size)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -24,14 +24,14 @@ BASE_SEED = 7
 SUCCESSES = {
     ("clustered", "sscosamp-threshold"): (7, 7),
     ("clustered", "sscosamp-eps-threshold"): (7, 7),
-    ("clustered", "sscosamp-omp"): (0, 1),
+    ("clustered", "sscosamp-omp"): (1, 1),
     ("clustered", "sscosamp-eps-omp"): (7, 7),
     ("clustered", "eps-omp-direct"): (7, 7),
     ("separated", "sscosamp-threshold"): (0, 0),
     ("separated", "sscosamp-eps-threshold"): (0, 0),
     ("separated", "sscosamp-omp"): (7, 7),
     ("separated", "sscosamp-eps-omp"): (7, 7),
-    ("separated", "eps-omp-direct"): (7, 6),
+    ("separated", "eps-omp-direct"): (3, 6),
 }
 
 
@@ -39,14 +39,14 @@ SUCCESSES = {
 SUCCESSES_M64 = {
     ("clustered", "sscosamp-threshold"): 7,
     ("clustered", "sscosamp-eps-threshold"): 7,
-    ("clustered", "sscosamp-omp"): 1,
+    ("clustered", "sscosamp-omp"): 0,
     ("clustered", "sscosamp-eps-omp"): 7,
     ("clustered", "eps-omp-direct"): 7,
     ("separated", "sscosamp-threshold"): 0,
     ("separated", "sscosamp-eps-threshold"): 0,
     ("separated", "sscosamp-omp"): 7,
     ("separated", "sscosamp-eps-omp"): 4,
-    ("separated", "eps-omp-direct"): 2,
+    ("separated", "eps-omp-direct"): 6,
 }
 
 

@@ -312,25 +312,22 @@ def _assert_gram_matches(monkeypatch, D, args, ref_args=None):
 # tests
 
 
-# (dictionary, mode, Gram columns); a zero atom has no normalized correlations,
-# so no exclusion table. A loop without the re-fit reads no Gram column, so it
-# runs both without ("analysis") and with ("gram") D's; a re-fit gets them, as
-# every selection passes them.
+# (dictionary, mode); a zero atom has no normalized correlations, so no
+# exclusion table. Every case passes D's Gram columns, as every selection
+# does (a loop without the re-fit never reads one), hence the ids' "-gram".
 CASES = [
-    (name, mode, form)
+    (name, mode)
     for name in sorted(DICTIONARIES)
     for mode in sorted(MODES)
-    for form in (("gram",) if MODES[mode][1] else ("analysis", "gram"))
     if name != "zero" or MODES[mode][0] is None
 ]
 
 
-@pytest.mark.parametrize("name, mode, form", CASES)
-def test_pick_loop_matches_the_reference(name, mode, form, monkeypatch):
+@pytest.mark.parametrize("name, mode", CASES, ids=[f"{name}-{mode}-gram" for name, mode in CASES])
+def test_pick_loop_matches_the_reference(name, mode, monkeypatch):
     D = DICTIONARIES[name]()
     eps, refit = MODES[mode]
     table = None if eps is None else D.neighbor_table(eps)
-    gram = D.gram_column if form == "gram" else None
     if table is None and not refit:
         ks = [1, 2, 3]  # thresholding without a table is only ever called with refit
     else:
@@ -340,7 +337,7 @@ def test_pick_loop_matches_the_reference(name, mode, form, monkeypatch):
         for k in ks:
             if table is None and k > min(D.d, D.n):
                 continue
-            args = (D.matrix.shape, D.atom, D.analysis, z, k, table, refit, gram)
+            args = (D.matrix.shape, D.atom, D.analysis, z, k, table, refit, D.gram_column)
             compared += 1
             if refit:
                 _assert_gram_matches(monkeypatch, D, args)

@@ -221,15 +221,15 @@ def test_noisy_gaussian_fixed_points(selector, monkeypatch):
 
 def test_clustered_dft_omp_cycles(monkeypatch):
     periods = {}
-    for seed in range(12):
+    for seed in range(33):
         D, M, x, y = clustered_dft_problem(seed)
         config = SSCoSaMPConfig.for_selector("omp", 4)
         periods[seed] = check_instance(monkeypatch, y, M, D, config, x)[1]
-    assert periods[8] == 2
+    assert periods[32] == 2
     assert list(periods.values()).count(1) >= 3
 
 
-@pytest.mark.parametrize("seed", (8, 24))
+@pytest.mark.parametrize("seed", (32, 35))
 def test_clustered_dft_omp_period_two(seed, monkeypatch):
     D, M, x, y = clustered_dft_problem(seed)
     config = SSCoSaMPConfig.for_selector("omp", 4)
@@ -238,11 +238,20 @@ def test_clustered_dft_omp_period_two(seed, monkeypatch):
     assert expected.stop_reason == STOP_STAGNATION
 
 
+def test_clustered_dft_omp_period_three(monkeypatch):
+    # the first clustered instance whose cycle is longer than two iterations
+    D, M, x, y = clustered_dft_problem(16)
+    config = SSCoSaMPConfig.for_selector("omp", 4)
+    expected, period, _ = check_instance(monkeypatch, y, M, D, config, x)
+    assert period == 3
+    assert expected.stop_reason == STOP_STAGNATION
+
+
 @pytest.mark.parametrize("max_iters", (8, 9))
 def test_cycle_cut_short_by_max_iters(max_iters, monkeypatch):
     # unbounded, this run fits 7 times, enters its period-2 cycle at
     # iteration 8 and stops by stagnation at iteration 10
-    D, M, x, y = clustered_dft_problem(24)
+    D, M, x, y = clustered_dft_problem(433)
     config = SSCoSaMPConfig.for_selector("omp", 4, halting=HaltingRule(max_iters=max_iters))
     expected, period, fits = check_instance(monkeypatch, y, M, D, config, x)
     assert (period, fits) == (2, 7)
