@@ -56,6 +56,21 @@ def _gaussian(
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
+class _NeighborTable(tuple):
+    """A neighbor table (one index array per atom) and its closure size zeta,
+    the largest set, decided once when the table is built.
+
+    An atom's correlation with itself is 1 up to rounding, above every
+    threshold, so each set holds its own atom and zeta = 1 means that every
+    closure is the atom alone.
+    """
+
+    def __new__(cls, sets):
+        table = super().__new__(cls, sets)
+        table.zeta = max(map(len, table), default=0)
+        return table
+
+
 @dataclass(eq=False)
 class Dictionary:
     """A d x n synthesis operator whose columns are atoms.
@@ -79,9 +94,12 @@ class Dictionary:
     written twice, and every Gram column is a view into it. The Gram columns
     of measured atoms M d_i depend on M and are never cached here.
 
-    overcomplete_dft stores its matrix column-major, the layout in which
-    load_container returns every payload, so each atom is contiguous and a
-    built and a loaded DFT share one memory layout.
+    Every dictionary stores its matrix column-major (Fortran order), the
+    layout in which overcomplete_dft builds and load_container returns every
+    payload, so each atom is contiguous and a support gather D[:, T] reads
+    whole columns. A column-major input is kept as it is, without a copy; a
+    row-major or strided one is copied once, so matrix then no longer shares
+    memory with the caller's array.
     """
 
     matrix: np.ndarray
@@ -97,6 +115,7 @@ class Dictionary:
         self.matrix = np.asarray(self.matrix)
         if self.matrix.ndim != 2:
             raise ValueError("dictionary matrix must be 2-D")
+        self.matrix = np.asfortranarray(self.matrix)
         if not np.isfinite(self.matrix).all():
             raise ValueError("dictionary matrix must be finite")
         if self.kind not in _DICT_KINDS:
@@ -180,6 +199,8 @@ class Dictionary:
         atoms despite floating-point rounding in the Gram products. The
         overcomplete DFT's correlations depend only on (j - i) mod n, so its
         table comes from one correlation row: row i is row 0 shifted by i.
+        The table is built once per eps and carries its largest set size as
+        .zeta (see _NeighborTable).
         """
         if not 0.0 <= eps < 1.0:
             raise ValueError("eps must lie in [0, 1)")
@@ -190,7 +211,7 @@ class Dictionary:
         threshold = 1.0 - max(eps * eps, 1e-12)
         if self._fft:
             hits = np.flatnonzero(self.correlation_rows(np.arange(1))[0] >= threshold)
-            table = tuple(np.sort((np.arange(self.n)[:, None] + hits) % self.n, axis=1))
+            table = _NeighborTable(np.sort((np.arange(self.n)[:, None] + hits) % self.n, axis=1))
         else:
             sets = []
             block = 512
@@ -200,7 +221,7 @@ class Dictionary:
                 for r in range(rows.shape[0]):
                     hits = np.flatnonzero(rows[r] >= threshold)
                     sets.append(hits.astype(np.intp))
-            table = tuple(sets)
+            table = _NeighborTable(sets)
         self._neighbor_cache[key] = table
         return table
 
@@ -236,14 +257,21 @@ def overcomplete_dft(d: int, redundancy: int) -> Dictionary:
     if d < 1 or redundancy < 1:
         raise ValueError("d and redundancy must be positive")
     n = d * redundancy
-    # the n x d transpose, computed in place: entry (j, t) gets the bits of
-    # exp(2 pi i t j / n) / sqrt(d), and its .T is the column-major matrix
-    atoms = (2j * np.pi / n) * (np.arange(n)[:, None] * np.arange(d))
-    np.exp(atoms, out=atoms)
-    atoms /= np.sqrt(d)
-    D = Dictionary(atoms.T, kind="dft", redundancy=redundancy, unit_norm=True)
+    D = Dictionary(_dft_rows(d, n, 0, n).T, kind="dft", redundancy=redundancy, unit_norm=True)
     D._fft = True
     return D
+
+
+def _dft_rows(d: int, n: int, start: int, stop: int) -> np.ndarray:
+    """Atoms start..stop-1 of overcomplete_dft(d, n // d), as the rows of a
+    C-order array computed in place: entry (j, t) gets the bits of
+    exp(2 pi i t j / n) / sqrt(d). Every entry is computed on its own, so a
+    block of rows has the bytes of the same rows of the whole array, and the
+    .T of the whole array is the column-major matrix."""
+    atoms = (2j * np.pi / n) * (np.arange(start, stop)[:, None] * np.arange(d))
+    np.exp(atoms, out=atoms)
+    atoms /= np.sqrt(d)
+    return atoms
 
 
 def identity_dictionary(d: int) -> Dictionary:
@@ -407,10 +435,17 @@ def save_dictionary(path: str | Path, D: Dictionary) -> None:
 
 def load_dictionary(path: str | Path) -> Dictionary:
     """The container's dictionary; a "dft" payload that equals
-    overcomplete_dft(d, redundancy) bit for bit gets its FFT operators."""
+    overcomplete_dft(d, redundancy) bit for bit gets its FFT operators.
+
+    The payload is compared with the formula block by block (about 4 MiB of
+    atoms at a time), so no second DFT matrix is built."""
     arr, meta = load_container(path)
     D = Dictionary(arr, kind=meta.kind, redundancy=meta.redundancy, unit_norm=meta.unit_norm)
-    d, r = arr.shape[0], meta.redundancy
-    if meta.kind == "dft" and d >= 1 and r >= 1 and arr.shape[1] == d * r:
-        D._fft = np.array_equal(arr, overcomplete_dft(d, r).matrix)
+    d, n, r = arr.shape[0], arr.shape[1], meta.redundancy
+    if meta.kind == "dft" and d >= 1 and r >= 1 and n == d * r:
+        rows = max(1, (1 << 18) // d)
+        D._fft = all(
+            np.array_equal(arr.T[start:start + rows], _dft_rows(d, n, start, min(start + rows, n)))
+            for start in range(0, n, rows)
+        )
     return D

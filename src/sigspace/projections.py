@@ -108,11 +108,19 @@ class NearOptimalityEstimate:
 
 def zeta_factor(scheme: SelectionScheme, D: Dictionary) -> int:
     """Support-inflation factor: 1 for plain schemes, the measured largest
-    per-atom extension set for the eps variants."""
+    per-atom extension set for the eps variants (read from the cached table)."""
     if scheme.kind not in _EPS_KINDS:
         return 1
-    table = D.neighbor_table(scheme.eps)
-    return max(len(hits) for hits in table)
+    return D.neighbor_table(scheme.eps).zeta
+
+
+def _closure_table(D: Dictionary, eps: float) -> tuple[np.ndarray, ...] | None:
+    """D's neighbor table at eps for _greedy, or None when every closure is
+    the atom alone (zeta = 1, as on an incoherent dictionary): the pursuit
+    then excludes exactly its own picks, which the table-free path of OMP
+    does without the closure bookkeeping, to the same picks and closure."""
+    table = D.neighbor_table(eps)
+    return table if table.zeta > 1 else None
 
 
 def threshold_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
@@ -361,7 +369,7 @@ def eps_omp_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportS
     answer is the closure itself (at most zeta*k atoms)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy_over_atoms(D, z, k, D.neighbor_table(eps))[1]
+    return _greedy_over_atoms(D, z, k, _closure_table(D, eps))[1]
 
 
 def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportSet:
@@ -369,7 +377,7 @@ def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> Su
     each round takes the best atom outside the current closure."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy_over_atoms(D, z, k, D.neighbor_table(eps), refit=False)[1]
+    return _greedy_over_atoms(D, z, k, _closure_table(D, eps), refit=False)[1]
 
 
 def _sparse_support(values: np.ndarray) -> SupportSet:

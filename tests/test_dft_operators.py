@@ -24,6 +24,7 @@ from sigspace import (
     save_dictionary,
     select,
 )
+from sigspace.dictionaries import _dft_rows
 from sigspace.recovery import eps_omp_recover
 
 DIMS = (5, 12, 31, 100, 256)
@@ -119,6 +120,31 @@ def test_dft_tag_with_the_wrong_redundancy_takes_the_dense_branch(tmp_path):
     D = load_dictionary(tmp_path / "dft.sgc")
     r = _draw(3004, d, True)
     assert np.array_equal(D.analysis(r), (r.conj() @ D.matrix).conj())
+
+
+@pytest.mark.parametrize("d,redundancy", [(64, 3), (256, 4), (1024, 4)])
+def test_blockwise_dft_rows_have_the_bytes_of_the_whole_build(d, redundancy):
+    n = d * redundancy
+    whole = overcomplete_dft(d, redundancy).matrix.T
+    for rows in (max(1, (1 << 18) // d), 7, 1000):
+        for start in range(0, n, rows):
+            block = _dft_rows(d, n, start, min(start + rows, n))
+            assert block.tobytes() == whole[start:start + rows].tobytes(), (rows, start)
+
+
+def test_a_dft_container_is_compared_in_every_block(tmp_path):
+    # at d = 512 the loader compares 512 atoms at a time: four blocks
+    d, redundancy = 512, 4
+    matrix = overcomplete_dft(d, redundancy).matrix
+    save_container(tmp_path / "exact.sgc", matrix, kind="dft", unit_norm=True,
+                   redundancy=redundancy)
+    assert load_dictionary(tmp_path / "exact.sgc")._fft
+    for atom in (0, 1535, 1536, d * redundancy - 1):
+        perturbed = matrix.copy()
+        perturbed[d - 1, atom] += 1e-9
+        save_container(tmp_path / "dft.sgc", perturbed, kind="dft", unit_norm=True,
+                       redundancy=redundancy)
+        assert not load_dictionary(tmp_path / "dft.sgc")._fft, atom
 
 
 @pytest.mark.parametrize("kind", ("threshold", "omp", "eps-omp", "eps-threshold",

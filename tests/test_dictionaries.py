@@ -67,6 +67,58 @@ class TestDictionaryType:
         assert t1 is t2
 
 
+class TestLayout:
+    """Every dictionary stores its matrix column-major; only a column-major
+    input is kept without a copy."""
+
+    @staticmethod
+    def _inputs():
+        rng = rng_from(81)
+        real = rng.standard_normal((6, 9))
+        wide = rng.standard_normal((12, 27))
+        cplx = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+        return {
+            "c-order": real,
+            "f-order": np.asfortranarray(real),
+            "strided": wide[::2, ::3],
+            "complex-c-order": cplx,
+            "complex-f-order": np.asfortranarray(cplx),
+        }
+
+    @pytest.mark.parametrize("name", ["c-order", "f-order", "strided", "complex-c-order",
+                                      "complex-f-order"])
+    def test_matrix_is_column_major_and_equals_its_input(self, name):
+        src = self._inputs()[name]
+        D = Dictionary(src)
+        assert D.matrix.flags.f_contiguous
+        assert D.matrix.dtype == src.dtype
+        assert np.array_equal(D.matrix, src)
+        assert D.matrix.tobytes(order="F") == src.tobytes(order="F")
+
+    @pytest.mark.parametrize("name", ["f-order", "complex-f-order"])
+    def test_a_column_major_input_is_kept_without_a_copy(self, name):
+        src = self._inputs()[name]
+        assert Dictionary(src).matrix is src
+
+    @pytest.mark.parametrize("name", ["c-order", "strided", "complex-c-order"])
+    def test_any_other_input_is_copied(self, name):
+        src = self._inputs()[name]
+        D = Dictionary(src)
+        assert not np.shares_memory(D.matrix, src)
+        src[0, 0] += 1.0
+        assert not np.array_equal(D.matrix, src)
+
+    def test_overcomplete_dft_builds_without_a_copy(self):
+        D = overcomplete_dft(8, 4)
+        # the matrix is the transpose view of the array it was computed in
+        assert D.matrix.flags.f_contiguous and not D.matrix.flags.owndata
+        assert D.matrix.base.shape == (32, 8) and D.matrix.base.flags.c_contiguous
+
+    def test_loaded_dictionary_is_column_major(self, tmp_path):
+        save_dictionary(tmp_path / "r.sgc", Dictionary(self._inputs()["c-order"]))
+        assert load_dictionary(tmp_path / "r.sgc").matrix.flags.f_contiguous
+
+
 class TestOvercompleteDft:
     def test_atom_formula(self):
         d, r = 8, 4

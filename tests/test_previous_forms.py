@@ -22,6 +22,7 @@ from sigspace import (
     HaltingRule,
     SupportSet,
     TrialConfig,
+    eps_omp_recover,
     fig_variants,
     gaussian_measurements,
     gen_sparse_signal,
@@ -32,7 +33,13 @@ from sigspace import (
 )
 from sigspace.dictionaries import SALT_MEASUREMENT
 from sigspace.experiments import run_variant
-from sigspace.linalg import top_k_indices
+from sigspace.linalg import (
+    SupportSet,
+    captured_and_residual_sq,
+    ls_synthesize,
+    project,
+    top_k_indices,
+)
 from sigspace.projections import threshold_select
 
 # ---------------------------------------------------------------------------
@@ -125,7 +132,7 @@ def test_gram_column_indexes_like_a_matrix_column(form):
 
 
 # ---------------------------------------------------------------------------
-# built and loaded DFTs
+# built and loaded dictionaries
 
 
 def test_built_and_loaded_dfts_share_a_layout_and_recover_alike(tmp_path):
@@ -148,6 +155,65 @@ def test_built_and_loaded_dfts_share_a_layout_and_recover_alike(tmp_path):
             assert a.support == b.support
             assert (a.iterations, a.stop_reason, a.residual_norm, a.trace) == (
                 b.iterations, b.stop_reason, b.residual_norm, b.trace)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_fits_and_projections_keep_their_bytes_on_the_column_major_copy(complex_field):
+    # a dense dictionary built from a row-major array now holds its column-major
+    # copy; on a given support the fit, the projection and the captured energy
+    # must not change a bit (D^H r itself may round differently)
+    rng = np.random.default_rng([43, complex_field])
+
+    def draw(shape):
+        if complex_field:
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return rng.standard_normal(shape)
+
+    for _ in range(20):
+        d, n = (int(v) for v in rng.integers(8, 200, size=2))
+        m = int(rng.integers(2, d + 1))
+        rows = draw((d, n))
+        cols = Dictionary(rows).matrix
+        assert cols.flags.f_contiguous and not rows.flags.f_contiguous
+        M, y, z = rng.standard_normal((m, d)), draw(m), draw(d)
+        T = SupportSet.from_iterable(rng.choice(n, int(rng.integers(1, min(n, 40) + 1)),
+                                                replace=False), n)
+        assert ls_synthesize(M, cols, T, y).tobytes() == ls_synthesize(M, rows, T, y).tobytes()
+        assert project(cols, T, z).tobytes() == project(rows, T, z).tobytes()
+        assert captured_and_residual_sq(cols, T, z) == captured_and_residual_sq(rows, T, z)
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_built_and_loaded_dense_dictionaries_recover_alike(tmp_path, complex_field):
+    # a row-major input is stored column-major, the layout a container loads in
+    rng = np.random.default_rng([41, complex_field])
+    atoms = rng.standard_normal((32, 64))
+    if complex_field:
+        atoms = atoms + 1j * rng.standard_normal((32, 64))
+    atoms /= np.linalg.norm(atoms, axis=0)
+    built = Dictionary(atoms, unit_norm=True)
+    save_dictionary(tmp_path / "dense.sgc", built)
+    loaded = load_dictionary(tmp_path / "dense.sgc")
+    assert not loaded._fft
+    assert loaded.matrix.strides == built.matrix.strides
+    assert loaded.matrix.tobytes() == built.matrix.tobytes()
+    halting = HaltingRule(max_iters=20)
+    for trial in range(2):
+        M = gaussian_measurements(20, 32, seed_sequence(6, SALT_MEASUREMENT, 20, trial)).matrix
+        support = np.sort(rng.choice(64, size=3, replace=False))
+        x = built.matrix[:, support] @ rng.standard_normal(3)
+        y = M @ x
+        for variant in fig_variants():
+            a = run_variant(variant, y, M, built, 3, halting)
+            b = run_variant(variant, y, M, loaded, 3, halting)
+            assert a.estimate.tobytes() == b.estimate.tobytes(), (trial, variant.label)
+            assert a.support == b.support
+            assert (a.iterations, a.stop_reason, a.residual_norm, a.trace) == (
+                b.iterations, b.stop_reason, b.residual_norm, b.trace)
+        for eps in (0.0, float(np.sqrt(0.1))):
+            xa, sa = eps_omp_recover(y, M, built, 3, eps)
+            xb, sb = eps_omp_recover(y, M, loaded, 3, eps)
+            assert xa.tobytes() == xb.tobytes() and sa == sb
 
 
 # ---------------------------------------------------------------------------

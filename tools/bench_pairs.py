@@ -10,8 +10,10 @@ The parent is a `git archive` of the given revision, unpacked in a temporary
 directory; the change is the working tree. Each side runs the command that
 BENCHMARK.json declares (its own, unchanged `perfbench/run.py`) from its own
 root, one seed per pair and the same seed on both sides, parent first in odd
-pairs and change first in even ones, workloads one after another. Every run is listed. Each workload also gets one traced run per
-side (its per-layer metrics), and with --sweep-trials the bundled
+pairs and change first in even ones, workloads one after another. Every run
+is listed. Each workload also gets --traced-runs traced runs per side (its
+per-layer metrics; one by default), sides alternating as in the pairs, and
+with --sweep-trials the bundled
 fig2_desk.json sweep is run on both sides at each --sweep-threads and the
 digests of its outputs are compared; when they differ, the CSVs are compared
 column by column between the sides and across thread counts within a side.
@@ -49,6 +51,8 @@ def parse_args(argv):
                         help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--title", required=True)
     parser.add_argument("--claim", required=True)
+    parser.add_argument("--traced-runs", type=int, default=1,
+                        help="traced runs per side and workload; run i uses first_seed + i")
     parser.add_argument("--sweep-trials", type=int, default=0,
                         help="also compare fig2_desk.json sweep outputs with this many trials")
     parser.add_argument("--sweep-threads", type=int, nargs="*", default=[1, 2])
@@ -62,6 +66,8 @@ def parse_args(argv):
             parser.error(f"--pairs expects WORKLOAD=N with N >= 1, got {item!r}")
         pairs[name] = int(count)
     args.pairs = pairs
+    if args.traced_runs < 1:
+        parser.error("--traced-runs must be >= 1")
     return args
 
 
@@ -140,16 +146,23 @@ def run_pairs(args, trees: dict[str, Path], bench: dict) -> tuple[dict, dict]:
 
 
 def traced(args, trees: dict[str, Path], bench: dict) -> dict:
-    """Per-layer metrics of one traced run per side and workload."""
-    out = {"note": f"one --trace 1 run per side, seed {args.first_seed}"}
+    """Per-layer metrics of --traced-runs traced runs per side and workload:
+    per metric and side, one value per run (run i at seed first_seed + i)."""
+    runs = args.traced_runs
+    out = {"note": f"{runs} --trace 1 run(s) per side, sides alternating as in the pairs, "
+                   f"seeds {args.first_seed}..{args.first_seed + runs - 1}"}
     for workload in args.pairs:
-        per_side = {}
-        for side, tree in trees.items():
-            result, _ = run_bench(tree, bench["command"], workload, args.first_seed, 1.0, 1)
-            per_side[side] = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+        per_side = {"parent": [], "change": []}
+        for i in range(runs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                result, _ = run_bench(trees[side], bench["command"], workload,
+                                      args.first_seed + i, 1.0, 1)
+                per_side[side].append(
+                    {k: round(v["value"], 4) for k, v in result["metrics"].items()})
+        names = sorted({name for side in per_side.values() for run in side for name in run})
         out[workload] = {
-            name: {side: per_side[side].get(name) for side in per_side}
-            for name in sorted(set(per_side["parent"]) | set(per_side["change"]))
+            name: {side: [run.get(name) for run in per_side[side]] for side in per_side}
+            for name in names
         }
     return out
 
