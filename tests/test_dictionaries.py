@@ -114,10 +114,6 @@ class TestLayout:
         assert D.matrix.flags.f_contiguous and not D.matrix.flags.owndata
         assert D.matrix.base.shape == (32, 8) and D.matrix.base.flags.c_contiguous
 
-    def test_loaded_dictionary_is_column_major(self, tmp_path):
-        save_dictionary(tmp_path / "r.sgc", Dictionary(self._inputs()["c-order"]))
-        assert load_dictionary(tmp_path / "r.sgc").matrix.flags.f_contiguous
-
 
 class TestOvercompleteDft:
     def test_atom_formula(self):
