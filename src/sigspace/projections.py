@@ -114,15 +114,6 @@ def zeta_factor(scheme: SelectionScheme, D: Dictionary) -> int:
     return D.neighbor_table(scheme.eps).zeta
 
 
-def _closure_table(D: Dictionary, eps: float) -> tuple[np.ndarray, ...] | None:
-    """D's neighbor table at eps for _greedy, or None when every closure is
-    the atom alone (zeta = 1, as on an incoherent dictionary): the pursuit
-    then excludes exactly its own picks, which the table-free path of OMP
-    does without the closure bookkeeping, to the same picks and closure."""
-    table = D.neighbor_table(eps)
-    return table if table.zeta > 1 else None
-
-
 def threshold_select(D: Dictionary, z: np.ndarray, k: int) -> SupportSet:
     """Indices of the k largest |d_i^* z|; ties go to the lowest index."""
     if not 1 <= k <= D.n:
@@ -369,7 +360,7 @@ def eps_omp_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportS
     answer is the closure itself (at most zeta*k atoms)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy_over_atoms(D, z, k, _closure_table(D, eps))[1]
+    return _greedy_over_atoms(D, z, k, D.neighbor_table(eps))[1]
 
 
 def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> SupportSet:
@@ -377,7 +368,7 @@ def eps_threshold_select(D: Dictionary, z: np.ndarray, k: int, eps: float) -> Su
     each round takes the best atom outside the current closure."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _greedy_over_atoms(D, z, k, _closure_table(D, eps), refit=False)[1]
+    return _greedy_over_atoms(D, z, k, D.neighbor_table(eps), refit=False)[1]
 
 
 def _sparse_support(values: np.ndarray) -> SupportSet:

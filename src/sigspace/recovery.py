@@ -18,7 +18,7 @@ import numpy as np
 
 from .dictionaries import Dictionary
 from .linalg import SupportSet, _adjoint_apply, _matmul, _require_finite, ls_synthesize, project
-from .projections import _EPS_KINDS, SelectionScheme, _closure_table, _greedy, select
+from .projections import _EPS_KINDS, SelectionScheme, _greedy, select
 
 STOP_RESIDUAL = "residual"
 STOP_STAGNATION = "stagnation"
@@ -257,9 +257,8 @@ def eps_omp_recover(
     by FFT for the overcomplete DFT): D^H (M^H y) once, then the re-fit's
     Gram column D^H M^H (M d_i) of each pick, so the m x n product M D is
     never built. Exclusion uses the dictionary's own
-    correlation closure (only the picks when every closure is the atom
-    alone), and the final estimate is a min-norm fit of y over the measured
-    atoms of the closure.
+    correlation closure, and the final estimate is a min-norm fit of y over
+    the measured atoms of the closure.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -270,7 +269,7 @@ def eps_omp_recover(
         lambda r: D.analysis(_adjoint_apply(M, r)),
         y,
         k,
-        _closure_table(D, eps),
+        D.neighbor_table(eps),
     )[1]
     x = ls_synthesize(M, D.matrix, support, y)
     return x, support

@@ -34,7 +34,6 @@ from sigspace import (
 from sigspace.dictionaries import SALT_MEASUREMENT
 from sigspace.experiments import run_variant
 from sigspace.linalg import (
-    SupportSet,
     captured_and_residual_sq,
     ls_synthesize,
     project,

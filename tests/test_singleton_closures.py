@@ -3,11 +3,10 @@
 Below coherence 1 - eps^2 no atom has a neighbour, so zeta = 1 and the
 closure of a set of picks is the picks themselves. The masked pursuit then
 excludes exactly its own picks, which is what OMP's table-free pursuit does:
-eps-OMP, eps-thresholding and eps_omp_recover run it without the closure
-table and return its supports, and sscosamp with eps-OMP repeats sscosamp
-with OMP bit for bit. A dictionary with a neighbour (a duplicated atom,
-zeta = 2, or the 4x DFT, zeta = 3) keeps the table, and its closures hold
-the neighbours.
+eps-OMP, eps-thresholding and eps_omp_recover return its supports, and
+sscosamp with eps-OMP repeats sscosamp with OMP bit for bit. On a
+dictionary with a neighbour (a duplicated atom, zeta = 2, or the 4x DFT,
+zeta = 3) the closures hold the neighbours.
 """
 
 import numpy as np
@@ -31,7 +30,7 @@ from sigspace import (
     zeta_factor,
 )
 from sigspace.linalg import _adjoint_apply, _matmul
-from sigspace.projections import _closure_table, _greedy, _greedy_over_atoms
+from sigspace.projections import _greedy, _greedy_over_atoms
 
 EPS = float(np.sqrt(0.1))
 
@@ -73,13 +72,12 @@ CASES = [(seed, complex_field) for seed in (11, 12, 13) for complex_field in (Fa
 
 
 @pytest.mark.parametrize("seed,complex_field", CASES)
-def test_incoherent_tables_are_singletons_and_take_the_table_free_path(seed, complex_field):
+def test_incoherent_tables_are_singletons(seed, complex_field):
     D = _incoherent(seed, complex_field)
     table = D.neighbor_table(EPS)
     assert all(hits.tolist() == [i] for i, hits in enumerate(table))
     assert table.zeta == 1
     assert zeta_factor(SelectionScheme("eps-omp", 2, eps=EPS), D) == 1
-    assert _closure_table(D, EPS) is None
 
 
 @pytest.mark.parametrize("seed,complex_field", CASES)
@@ -137,7 +135,6 @@ def test_sscosamp_with_eps_omp_repeats_omp_bit_for_bit(seed, complex_field):
 def test_a_duplicated_atom_keeps_its_closure():
     D = _duplicated(21)
     assert zeta_factor(SelectionScheme("eps-omp", 1, eps=EPS), D) == 2
-    assert _closure_table(D, EPS) is D.neighbor_table(EPS)
     z = D.atom(6) + 0.01 * D.atom(2)
     for select in (eps_omp_select, eps_threshold_select):
         assert {6, 17} <= set(select(D, z, 2, EPS).indices)
@@ -149,7 +146,6 @@ def test_a_duplicated_atom_keeps_its_closure():
 def test_the_dft_closures_hold_the_neighbours():
     D = overcomplete_dft(32, 4)
     assert zeta_factor(SelectionScheme("eps-threshold", 1, eps=EPS), D) == 3
-    assert _closure_table(D, EPS) is D.neighbor_table(EPS)
     j = 77
     for select in (eps_omp_select, eps_threshold_select):
         assert set(select(D, D.atom(j), 1, EPS).indices) == {j - 1, j, j + 1}

@@ -11,12 +11,12 @@ directory; the change is the working tree. Each side runs the command that
 BENCHMARK.json declares (its own, unchanged `perfbench/run.py`) from its own
 root, one seed per pair and the same seed on both sides, parent first in odd
 pairs and change first in even ones, workloads one after another. Every run
-is listed. Each workload also gets --traced-runs traced runs per side (its
-per-layer metrics; one by default), sides alternating as in the pairs, and
-with --sweep-trials the bundled
-fig2_desk.json sweep is run on both sides at each --sweep-threads and the
-digests of its outputs are compared; when they differ, the CSVs are compared
-column by column between the sides and across thread counts within a side.
+is listed. Each workload also gets three traced runs per side (its
+per-layer metrics), sides alternating as in the pairs, and with
+--sweep-trials the bundled fig2_desk.json sweep is run on both sides at
+each --sweep-threads and the digests of its outputs are compared; when they
+differ, the CSVs are compared column by column between the sides and across
+thread counts within a side.
 
 The verdict compares medians against the bounds in BENCHMARK.json and counts
 the pairs in which the change reads better; it claims nothing by itself.
@@ -37,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CONFIG = Path("src") / "sigspace" / "configs" / "fig2_desk.json"
+# one traced run per side is too noisy to place a per-layer saving
+TRACED_RUNS = 3
 
 
 def parse_args(argv):
@@ -51,8 +53,6 @@ def parse_args(argv):
                         help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--title", required=True)
     parser.add_argument("--claim", required=True)
-    parser.add_argument("--traced-runs", type=int, default=1,
-                        help="traced runs per side and workload; run i uses first_seed + i")
     parser.add_argument("--sweep-trials", type=int, default=0,
                         help="also compare fig2_desk.json sweep outputs with this many trials")
     parser.add_argument("--sweep-threads", type=int, nargs="*", default=[1, 2])
@@ -66,8 +66,6 @@ def parse_args(argv):
             parser.error(f"--pairs expects WORKLOAD=N with N >= 1, got {item!r}")
         pairs[name] = int(count)
     args.pairs = pairs
-    if args.traced_runs < 1:
-        parser.error("--traced-runs must be >= 1")
     return args
 
 
@@ -146,10 +144,10 @@ def run_pairs(args, trees: dict[str, Path], bench: dict) -> tuple[dict, dict]:
 
 
 def traced(args, trees: dict[str, Path], bench: dict) -> dict:
-    """Per-layer metrics of --traced-runs traced runs per side and workload:
+    """Per-layer metrics of TRACED_RUNS traced runs per side and workload:
     per metric and side, one value per run (run i at seed first_seed + i)."""
-    runs = args.traced_runs
-    out = {"note": f"{runs} --trace 1 run(s) per side, sides alternating as in the pairs, "
+    runs = TRACED_RUNS
+    out = {"note": f"{runs} --trace 1 runs per side, sides alternating as in the pairs, "
                    f"seeds {args.first_seed}..{args.first_seed + runs - 1}"}
     for workload in args.pairs:
         per_side = {"parent": [], "change": []}

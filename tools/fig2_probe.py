@@ -10,10 +10,9 @@ the round's base seed, all five fig_variants per job) in this process, one job
 after another on one BLAS thread, as a sweep worker runs them. It prints one
 JSON object: a sha256 over every TrialRecord field except wall_time, the mean
 and p50 job time in ms, and per job the support gathers (linalg.subdict
-calls), the Gram-column lookups, the greedy pursuits that ran with a closure
-table (projections._greedy calls given one), the least-squares fits
-(ls_synthesize) and the SVDs of orthonormal_range. Two trees with the same
-digest made the same records bit for bit.
+calls), the Gram-column lookups, the least-squares fits (ls_synthesize) and
+the SVDs of orthonormal_range. Two trees with the same digest made the same
+records bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def main(argv=None) -> int:
     os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                      "MKL_NUM_THREADS"), "1"))
     from perfbench import workloads
-    from sigspace import dictionaries, experiments, linalg, projections, recovery
+    from sigspace import dictionaries, experiments, linalg, recovery
 
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.build("fig2-sweep", args.seed, Path(tmp))
@@ -52,10 +51,9 @@ def main(argv=None) -> int:
         success_tol=geometry["success_tol"], max_iters=workload.MAX_ITERS,
     )
     variants = experiments.fig_variants()
-    counts = {"subdict": 0, "gram_lookups": 0, "closure_pursuits": 0, "fits": 0, "svd": 0}
+    counts = {"subdict": 0, "gram_lookups": 0, "fits": 0, "svd": 0}
     subdict = linalg.subdict
     gram_column = dictionaries.Dictionary.gram_column
-    greedy = projections._greedy
     ls_synthesize = recovery.ls_synthesize
     orthonormal_range = linalg.orthonormal_range
 
@@ -67,10 +65,6 @@ def main(argv=None) -> int:
         counts["gram_lookups"] += 1
         return gram_column(self, i)
 
-    def counting_greedy(shape, column, analysis, z, k, table=None, *rest):
-        counts["closure_pursuits"] += table is not None
-        return greedy(shape, column, analysis, z, k, table, *rest)
-
     def counting_ls_synthesize(*call):
         counts["fits"] += 1
         return ls_synthesize(*call)
@@ -81,7 +75,6 @@ def main(argv=None) -> int:
 
     linalg.subdict = counting_subdict
     dictionaries.Dictionary.gram_column = counting_gram_column
-    projections._greedy = recovery._greedy = counting_greedy
     recovery.ls_synthesize = counting_ls_synthesize
     linalg.orthonormal_range = counting_orthonormal_range
     digest = hashlib.sha256()

@@ -10,10 +10,8 @@ warm-up included, as perfbench does), runs its three methods on the next
 support and sscosamp report (stop reason, iterations, residual, trace), a
 sha256 over the supports and stop reasons only, the mean op time, and per op the Gram-column lookups, the Gram columns computed
 (lookups that missed the dictionary's cache), the hand-overs of a re-fit to
-signal space (projections._Residual constructions), the greedy pursuits that
-ran with a closure table (projections._greedy calls given one; an eps pursuit
-over singleton closures runs without), the project calls and the SVDs of
-orthonormal_range. Two trees with the same digest gave the same
+signal space (projections._Residual constructions), the project calls and the
+SVDs of orthonormal_range. Two trees with the same digest gave the same
 outputs bit for bit; two with the same supports_digest chose the same supports
 and stopped for the same reasons, which is what a change that only rounds
 differently has to keep.
@@ -43,10 +41,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         workload = workloads.build("recover-incoherent", args.seed, Path(tmp))
-    counts = {"gram_lookups": 0, "gram_computed": 0, "handovers": 0, "closure_pursuits": 0,
-              "project": 0, "svd": 0}
+    counts = {"gram_lookups": 0, "gram_computed": 0, "handovers": 0, "project": 0, "svd": 0}
     gram_column = dictionaries.Dictionary.gram_column
-    greedy = projections._greedy
     project = recovery.project
     orthonormal_range = linalg.orthonormal_range
 
@@ -60,10 +56,6 @@ def main(argv=None) -> int:
             counts["handovers"] += 1
             super().__init__(*init_args)
 
-    def counting_greedy(shape, column, analysis, z, k, table=None, *rest):
-        counts["closure_pursuits"] += table is not None
-        return greedy(shape, column, analysis, z, k, table, *rest)
-
     def counting_project(*call):
         counts["project"] += 1
         return project(*call)
@@ -74,7 +66,6 @@ def main(argv=None) -> int:
 
     dictionaries.Dictionary.gram_column = counting_gram_column
     projections._Residual = CountingResidual
-    projections._greedy = recovery._greedy = counting_greedy
     recovery.project = counting_project
     linalg.orthonormal_range = counting_orthonormal_range
     digest = hashlib.sha256()
