@@ -11,6 +11,11 @@ that is not strictly increasing, duplicated variant labels), 2 runtime
 failure (dimension mismatches, exceeded enumeration budgets, I/O errors).
 With --quiet, stdout carries only the machine-readable JSON result;
 diagnostics go to stderr either way.
+
+Each subcommand takes --config, --out and --quiet; all but theory take
+--seed, and only sweep takes --threads. argparse refuses any other flag, as
+it refuses a missing --config: a usage message on stderr and exit 2. No
+setting is read from the environment.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from importlib import resources
@@ -157,7 +161,10 @@ def _modes(v, where: str) -> list[str]:
 def _deltas(v, where: str) -> tuple[float, float, float]:
     if not isinstance(v, list) or len(v) != 3 or not all(map(_is_number, v)):
         raise ConfigError(f"{where}: expected an array of three numbers")
-    return tuple(float(c) for c in v)
+    deltas = tuple(float(c) for c in v)
+    if not all(map(math.isfinite, deltas)):
+        raise ConfigError(f"{where}: entries must be finite")
+    return deltas
 
 
 def _inline_vector(v, where: str) -> np.ndarray:
@@ -165,11 +172,15 @@ def _inline_vector(v, where: str) -> np.ndarray:
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{where}: expected a nonempty array")
     if all(map(_is_number, v)):
-        return np.asarray([float(c) for c in v])
-    pairs = [[c, 0] if _is_number(c) else c for c in v]
-    if not all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in pairs):
-        raise ConfigError(f"{where}: entries must be numbers or [re, im] pairs")
-    return np.asarray([complex(float(re), float(im)) for re, im in pairs])
+        z = np.asarray([float(c) for c in v])
+    else:
+        pairs = [[c, 0] if _is_number(c) else c for c in v]
+        if not all(isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)) for c in pairs):
+            raise ConfigError(f"{where}: entries must be numbers or [re, im] pairs")
+        z = np.asarray([complex(float(re), float(im)) for re, im in pairs])
+    if not np.isfinite(z).all():
+        raise ConfigError(f"{where}: entries must be finite")
+    return z
 
 
 def _build(cls, kwargs: dict, where: str):
@@ -305,12 +316,11 @@ SWEEP = {
     "variants": (_variants, fig_variants()),
 }
 
-# Each theory mode has its own keys; seed is accepted and never read.
+# Each theory mode has its own keys.
 THEORY_COMMON = {
     "mode": (_str(("constants", "chain")), "constants"),
     "gamma": (_num(0.0, strict=True), 0.01),
     "zeta": (_num(1.0), 1.0),
-    "seed": (lambda v, where: None, None),
 }
 THEORY = {
     "chain": {**THEORY_COMMON, "delta": (_num(0.0, below=1.0), REQUIRED)},
@@ -402,7 +412,7 @@ def _load_vector(path: str, ctx: str) -> np.ndarray:
 def _build_measurement(cfg: dict, ctx: str, d: int, seed: int) -> np.ndarray:
     if cfg["kind"] == "container":
         M, _ = _load(load_container, cfg["path"], ctx)
-        if M.ndim != 2 or M.shape[1] != d:
+        if M.shape[1] != d:
             raise ValueError(f"{ctx}: measurement matrix does not match signal dimension {d}")
         return M
     seeds = seed_sequence(seed, SALT_MEASUREMENT)
@@ -411,23 +421,6 @@ def _build_measurement(cfg: dict, ctx: str, d: int, seed: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-def _resolve_threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        if args.threads < 0:
-            raise ConfigError("--threads must be >= 0")
-        return args.threads
-    env = os.environ.get("SIGSPACE_THREADS")
-    if env is None:
-        return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"SIGSPACE_THREADS must be an integer, got {env!r}") from exc
-    if value < 0:
-        raise ConfigError("SIGSPACE_THREADS must be >= 0")
-    return value
-
 
 def _diag(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
@@ -485,7 +478,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for m in m_grid:
         if not k <= m <= cfg["d"]:
             raise ConfigError(f"sweep.m_grid: m={m} violates k <= m <= d")
-    threads = _resolve_threads(args)
+    threads = args.threads
+    if threads < 0:
+        raise ConfigError("--threads must be >= 0")
     out_dir = Path(args.out) if args.out is not None else Path(DEFAULT_OUT_DIR)
     shared = {f.name: cfg[f.name] for f in fields(SweepSettings) if f.name != "mode"}
     settings = SweepSettings(mode=modes[0], **shared)
@@ -548,7 +543,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         _exclusive(cfg, "theory", "delta", "deltas")
         delta = cfg.pop("delta") or 0.0
         cfg["deltas"] = cfg["deltas"] or (delta, delta, delta)
-        del cfg["mode"], cfg["seed"]
+        del cfg["mode"]
         constants = _build(theory_bundle, cfg, "theory")
         payload = {"mode": "constants", **constants.to_dict()}
     _emit(payload, args, "theory.json")
@@ -641,11 +636,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_text) in handlers.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name != "theory":
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quiet", action="store_true", help="machine-readable stdout only")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (0 = all cores); SIGSPACE_THREADS as fallback")
+        if name == "sweep":
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker processes (0 = all cores)")
         p.set_defaults(func=func)
     return parser
 

@@ -12,6 +12,7 @@ complex one takes the real parts first, then the imaginary parts.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -401,24 +402,27 @@ def save_container(
 
 
 def load_container(path: str | Path) -> tuple[np.ndarray, ContainerMeta]:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated container header")
-    magic, version, scalar, kind_tag, unit, _r0, _r1, redundancy, rows, cols = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != 1:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    if scalar not in (0, 1):
-        raise ValueError(f"{path}: bad scalar tag {scalar}")
-    if kind_tag not in _TAG_KINDS:
-        raise ValueError(f"{path}: bad kind tag {kind_tag}")
-    dtype = np.dtype("<c16") if scalar else np.dtype("<f8")
-    expected = _HEADER.size + rows * cols * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload size {len(raw) - _HEADER.size} does not match {rows}x{cols}")
-    flat = np.frombuffer(raw, dtype=dtype, offset=_HEADER.size)
-    arr = flat.reshape((rows, cols), order="F").astype(dtype.newbyteorder("="), copy=True)
+    """The container's matrix (column-major) and header; the payload is read
+    straight into the returned array, so one copy of it is held."""
+    with open(path, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated container header")
+        magic, version, scalar, kind_tag, unit, _r0, _r1, redundancy, rows, cols = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        if version != 1:
+            raise ValueError(f"{path}: unsupported container version {version}")
+        if scalar not in (0, 1):
+            raise ValueError(f"{path}: bad scalar tag {scalar}")
+        if kind_tag not in _TAG_KINDS:
+            raise ValueError(f"{path}: bad kind tag {kind_tag}")
+        dtype = np.dtype("<c16") if scalar else np.dtype("<f8")
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != rows * cols * dtype.itemsize:
+            raise ValueError(f"{path}: payload size {size} does not match {rows}x{cols}")
+        flat = np.fromfile(fh, dtype=dtype, count=rows * cols)
+    arr = flat.reshape((rows, cols), order="F").astype(dtype.newbyteorder("="), copy=False)
     meta = ContainerMeta(
         field_tag="complex" if scalar else "real",
         kind=_TAG_KINDS[kind_tag],

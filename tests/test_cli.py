@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from sigspace import gaussian_measurements, overcomplete_dft, save_container, save_dictionary
-from sigspace.cli import bundled_config, main
+from sigspace import cli
+from sigspace.cli import build_parser, bundled_config, main
+from sigspace.experiments import run_sweep
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -151,16 +153,6 @@ class TestConfigErrors:
     def test_negative_seed_rejected(self, capsys):
         cfg = str(bundled_config("recover_identity.json"))
         code, _, err = run_main(capsys, ["recover", "--config", cfg, "--seed", "-1"])
-        assert code == 1
-
-    def test_bad_threads_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SIGSPACE_THREADS", "lots")
-        cfg = write_config(tmp_path, {
-            "d": 8, "redundancy": 1, "k": 1, "m_grid": [4, 8], "trials": 1,
-            "mode": "separated", "seed": 1,
-            "variants": [{"label": "t", "algorithm": "sscosamp"}],
-        })
-        code, _, err = run_main(capsys, ["sweep", "--config", cfg, "--out", str(tmp_path)])
         assert code == 1
 
     def test_shape_mismatch_is_runtime_error(self, capsys, tmp_path):
@@ -327,6 +319,46 @@ class TestSweepCommand:
         })
         code, _, err = run_main(capsys, ["sweep", "--config", cfg])
         assert code == 1
+
+    def test_one_worker_without_threads_whatever_the_environment(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        monkeypatch.setenv("SIGSPACE_THREADS", "4")
+        seen = []
+
+        def recording_run_sweep(*args, threads, **kwargs):
+            seen.append(threads)
+            return run_sweep(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", recording_run_sweep)
+        cfg = write_config(tmp_path, {
+            "d": 8, "redundancy": 1, "k": 1, "m_grid": [4, 8], "trials": 1,
+            "mode": "separated", "seed": 1,
+            "variants": [{"label": "t", "algorithm": "sscosamp"}],
+        })
+        code, _, err = run_main(capsys, ["sweep", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0
+        assert seen == [1]
+        assert "workers=1\n" in err
+
+
+# The flags each subcommand takes; argparse refuses every other one (the
+# refusals are pinned in tests/test_cli_golden.py).
+SUBCOMMAND_FLAGS = {
+    "recover": {"--config", "--out", "--quiet", "--seed"},
+    "sweep": {"--config", "--out", "--quiet", "--seed", "--threads"},
+    "theory": {"--config", "--out", "--quiet"},
+    "gram": {"--config", "--out", "--quiet", "--seed"},
+    "project": {"--config", "--out", "--quiet", "--seed"},
+}
+
+
+class TestFlags:
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        (subcommands,) = build_parser()._subparsers._group_actions
+        assert set(subcommands.choices) == set(SUBCOMMAND_FLAGS)
+        for name, sub in subcommands.choices.items():
+            flags = {s for action in sub._actions for s in action.option_strings}
+            assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[name], name
 
 
 class TestConsoleScript:

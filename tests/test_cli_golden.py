@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sigspace import gaussian_measurements, overcomplete_dft, save_container, save_dictionary
-from sigspace.cli import main
+from sigspace.cli import build_parser, main
 
 TMP = "@TMP@"
 NAN = float("nan")
@@ -22,6 +22,12 @@ NAN = float("nan")
 
 def case(case_id, cmd, cfg, code, err, argv=()):
     return pytest.param(cmd, cfg, list(argv), code, err, id=case_id)
+
+
+def refused(*argv):
+    """The stderr of argparse refusing argv, which the subcommand does not take."""
+    usage = build_parser().format_usage()
+    return f"{usage}sigspace: error: unrecognized arguments: {' '.join(argv)}\n"
 
 
 def with_keys(base, **changes):
@@ -119,7 +125,8 @@ CASES = [
          1, 'config error: recover.seed: expected an integer\n'),
     case("recover-flag-seed-negative", "recover", RECOVER,
          1, 'config error: --seed must be >= 0\n', argv=["--seed", "-1"]),
-    case("recover-ignores-threads-flag", "recover", RECOVER, 0, '', argv=["--threads", "-1"]),
+    case("recover-ignores-threads-flag", "recover", RECOVER,
+         2, refused("--threads", "-1"), argv=["--threads", "-1"]),
     case("recover-include-estimate-type", "recover",
          with_keys(RECOVER, include_estimate="yes"),
          1, 'config error: recover.include_estimate: expected a boolean\n'),
@@ -332,11 +339,15 @@ CASES = [
          1, "config error: sweep.variants[1]: duplicate variant label 't'\n"),
     # ---- theory
     case("theory-valid-chain", "theory", CHAIN, 0, ''),
-    case("theory-valid-chain-any-seed", "theory", with_keys(CHAIN, seed="x"), 0, ''),
+    case("theory-valid-chain-any-seed", "theory", with_keys(CHAIN, seed="x"),
+         1, "config error: theory: unknown keys ['seed']\n"),
     case("theory-valid-constants", "theory", CONSTANTS, 0, ''),
-    case("theory-valid-constants-any-seed", "theory", with_keys(CONSTANTS, seed=[1]), 0, ''),
-    case("theory-ignores-seed-flag", "theory", CHAIN, 0, '', argv=["--seed", "-1"]),
-    case("theory-ignores-threads-flag", "theory", CHAIN, 0, '', argv=["--threads", "-1"]),
+    case("theory-valid-constants-any-seed", "theory", with_keys(CONSTANTS, seed=[1]),
+         1, "config error: theory: unknown keys ['seed']\n"),
+    case("theory-ignores-seed-flag", "theory", CHAIN,
+         2, refused("--seed", "-1"), argv=["--seed", "-1"]),
+    case("theory-ignores-threads-flag", "theory", CHAIN,
+         2, refused("--threads", "-1"), argv=["--threads", "-1"]),
     case("theory-valid-constants-delta", "theory",
          with_keys(CONSTANTS, deltas=None, delta=0.01, x_norm=10.0, e_norm=0.1,
                    max_iters=20, gamma=0.05, zeta=2.0, mode="constants"), 0, ''),
@@ -373,6 +384,12 @@ CASES = [
     case("theory-constants-deltas-bool", "theory",
          with_keys(CONSTANTS, deltas=[0, 0, True]),
          1, 'config error: theory.deltas: expected an array of three numbers\n'),
+    case("theory-constants-deltas-nan", "theory",
+         with_keys(CONSTANTS, deltas=[0, NAN, 0.5]),
+         1, 'config error: theory.deltas: entries must be finite\n'),
+    case("theory-constants-deltas-inf", "theory",
+         with_keys(CONSTANTS, deltas=[0, 0, float("inf")]),
+         1, 'config error: theory.deltas: entries must be finite\n'),
     case("theory-constants-deltas-range", "theory",
          with_keys(CONSTANTS, deltas=[0.5, 0.5, 2.0]),
          1, 'config error: theory: deltas must be nondecreasing within [0, 1)\n'),
@@ -402,6 +419,8 @@ CASES = [
          1, 'config error: gram.atom: expected an integer\n'),
     case("gram-seed-negative", "gram", with_keys(GRAM, seed=-1),
          1, 'config error: gram.seed: must be >= 0\n'),
+    case("gram-refuses-threads-flag", "gram", GRAM,
+         2, refused("--threads", "2"), argv=["--threads", "2"]),
     case("gram-dict-kind-choice", "gram", with_block(GRAM, "dictionary", kind="haar"),
          1, "config error: gram.dictionary.kind: must be one of ['container', 'dft', 'identity', 'orthogonal']\n"),
     # ---- project
@@ -433,6 +452,8 @@ CASES = [
          1, "config error: project: missing keys ['signal']\n"),
     case("project-seed-negative", "project", with_keys(PROJECT, seed=-1),
          1, 'config error: project.seed: must be >= 0\n'),
+    case("project-refuses-threads-flag", "project", PROJECT,
+         2, refused("--threads", "2"), argv=["--threads", "2"]),
     case("project-scheme-not-object", "project", with_keys(PROJECT, scheme="omp"),
          1, 'config error: project.scheme: expected an object\n'),
     case("project-scheme-unknown", "project", with_block(PROJECT, "scheme", a=2),
@@ -475,6 +496,12 @@ CASES = [
     case("project-inline-values-bool", "project",
          with_block(PROJECT, "signal", values=[True, 0, 0, 0]),
          1, 'config error: project.signal.values: entries must be numbers or [re, im] pairs\n'),
+    case("project-inline-values-nan", "project",
+         with_block(PROJECT, "signal", values=[1.0, NAN, 0.0, 0.0]),
+         1, 'config error: project.signal.values: entries must be finite\n'),
+    case("project-inline-values-inf-pair", "project",
+         with_block(PROJECT, "signal", values=[[1, float("-inf")], 0, 0, 0]),
+         1, 'config error: project.signal.values: entries must be finite\n'),
     case("project-inline-values-mixed", "project",
          with_block(PROJECT, "signal", values=[[1, 0], [0, 1], 0, 0]), 0, ''),
     case("project-inline-values-length", "project",
@@ -534,7 +561,10 @@ def run_case(cmd, cfg, argv, tmp_path, capsys):
     tmp = str(tmp_path)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(_fill(cfg, tmp)), encoding="utf-8")
-    code = main([cmd, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet", *argv])
+    try:
+        code = main([cmd, "--config", str(path), "--out", str(tmp_path / "out"), "--quiet", *argv])
+    except SystemExit as exc:  # argparse refused the command line
+        code = exc.code
     return code, capsys.readouterr().err.replace(tmp, TMP)
 
 

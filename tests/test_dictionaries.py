@@ -292,6 +292,21 @@ class TestContainer:
         with pytest.raises(ValueError, match="payload"):
             load_container(path)
 
+    def test_trailing_payload_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.sgc"
+        save_container(path, np.eye(3))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="payload size 80 does not match 3x3"):
+            load_container(path)
+
+    def test_loaded_payload_is_writable_and_column_major(self, tmp_path):
+        A = np.arange(12.0).reshape(3, 4) + 1j
+        path = tmp_path / "c.sgc"
+        save_container(path, A)
+        B, _ = load_container(path)
+        assert B.flags.f_contiguous and B.flags.writeable
+        assert np.array_equal(A, B)
+
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "stub.sgc"
         path.write_bytes(b"SGC1")

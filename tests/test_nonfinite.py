@@ -136,9 +136,9 @@ def test_cli_project_rejects_nan_signal(tmp_path, capsys):
     }), encoding="utf-8")
     code = main(["project", "--config", str(cfg), "--quiet"])
     captured = capsys.readouterr()
-    assert code == 2
+    assert code == 1
     assert captured.out == ""
-    assert "finite" in captured.err
+    assert captured.err == "config error: project.signal.values: entries must be finite\n"
 
 
 # ---------------------------------------------------------------------------
